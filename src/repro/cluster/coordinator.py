@@ -43,6 +43,7 @@ import multiprocessing
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -76,6 +77,7 @@ from repro.engine.queries import (
     SelectivityQuery,
     SumQuery,
 )
+from repro.engine.registry import HOTLIST, SAMPLE
 from repro.engine.snapshots import restore_synopsis
 from repro.faults.plan import FaultPlan
 from repro.obs.clock import monotonic
@@ -114,6 +116,13 @@ class _ShardHandle:
         self.request_count = 0
         self.ready = threading.Event()
         self.last_hello: dict[str, Any] | None = None
+
+    def close_socket(self) -> None:
+        """Close and forget the socket; a failing close changes nothing."""
+        if self.sock is not None:
+            with suppress(OSError):
+                self.sock.close()
+            self.sock = None
 
 
 class ShardedWarehouse:
@@ -210,12 +219,7 @@ class ShardedWarehouse:
         self.metrics.shards_up.set(0)
 
     def _teardown_locked(self, handle: _ShardHandle) -> None:
-        if handle.sock is not None:
-            try:
-                handle.sock.close()
-            except OSError:
-                pass
-            handle.sock = None
+        handle.close_socket()
         if handle.process is not None:
             handle.process.join(timeout=5)
             if handle.process.is_alive():
@@ -243,7 +247,6 @@ class ShardedWarehouse:
         )
         config = ShardConfig(
             index=handle.index,
-            shards=self._shards,
             directory=str(self._directory / f"shard-{handle.index:02d}"),
             recovery_seed=self._recovery_seed(handle.index, incarnation),
             sync_every=self._sync_every,
@@ -260,20 +263,9 @@ class ShardedWarehouse:
             max_frame_bytes=MAX_FRAME_BYTES,
             source=f"coordinator<-shard-{handle.index}",
         )
-        hello: dict[str, Any] | None = None
         try:
-            while hello is None:
-                data = parent.recv(_RECV_BYTES)
-                if not data:
-                    raise ShardCrashed(
-                        handle.index, "died during recovery"
-                    )
-                for payload in decoder.feed(data):
-                    reply_id, result, error = parse_reply(payload)
-                    if reply_id == HELLO_ID and result is not None:
-                        hello = result
-                        break
-        except (OSError, ProtocolError, ShardCrashed):
+            hello = _read_reply(parent, decoder, HELLO_ID, handle.index)
+        except (OSError, ProtocolError, ClusterError):
             parent.close()
             process.join(timeout=5)
             with handle.lock:
@@ -297,12 +289,7 @@ class ShardedWarehouse:
         handle.state = "down"
         handle.ready.clear()
         self.metrics.failovers_total.inc()
-        if handle.sock is not None:
-            try:
-                handle.sock.close()
-            except OSError:
-                pass
-            handle.sock = None
+        handle.close_socket()
         if handle.process is not None and handle.process.is_alive():
             handle.process.kill()
         self._refresh_health_gauges()
@@ -370,19 +357,7 @@ class ShardedWarehouse:
         )
         try:
             sock.sendall(encode_request(request_id, op, params))
-            while True:
-                data = sock.recv(_RECV_BYTES)
-                if not data:
-                    raise ShardCrashed(handle.index, "socket closed")
-                for payload in decoder.feed(data):
-                    reply_id, result, error = parse_reply(payload)
-                    if reply_id != request_id:
-                        continue  # stale frame from a dead exchange
-                    if error is not None:
-                        code, message = error
-                        raise _RemoteError(code, message)
-                    assert result is not None
-                    return result
+            return _read_reply(sock, decoder, request_id, handle.index)
         except (TimeoutError, socket.timeout) as exc:
             self._on_shard_death(handle, f"timeout: {exc}")
             raise ShardCrashed(handle.index, "request timed out")
@@ -425,16 +400,11 @@ class ShardedWarehouse:
     def _scatter(
         self,
         op: str,
-        params_of: Callable[[_ShardHandle], dict[str, Any] | None],
+        params_of: Callable[[_ShardHandle], dict[str, Any]],
         handles: Sequence[_ShardHandle],
     ) -> list[tuple[_ShardHandle, dict[str, Any]]]:
         """Fan one op out; gather the successes, absorb the crashes."""
-        targets = [
-            (handle, params)
-            for handle in handles
-            for params in (params_of(handle),)
-            if params is not None
-        ]
+        targets = [(handle, params_of(handle)) for handle in handles]
         self.metrics.scatter_fanout.set(len(targets))
 
         def one(
@@ -443,21 +413,33 @@ class ShardedWarehouse:
             handle, params = item
             try:
                 return handle, self._request(handle, op, params)
-            except ShardCrashed:
-                return None
-            except ShardUnavailable:
+            except (ShardCrashed, ShardUnavailable):
                 return None
 
         replies = list(self._pool.map(one, targets))
         return [reply for reply in replies if reply is not None]
 
-    def _require_all(self, operation: str) -> list[_ShardHandle]:
-        """All shards, waiting out in-flight recoveries."""
+    def _scatter_all(
+        self,
+        op: str,
+        params_of: Callable[[_ShardHandle], dict[str, Any]],
+    ) -> list[tuple[_ShardHandle, dict[str, Any]]]:
+        """Fan one op out to every shard; all must reply.
+
+        Waits out in-flight recoveries first, and raises
+        :class:`ShardUnavailable` for the lowest shard that stays down
+        or does not answer.  Replies come back in shard order.
+        """
         if not self.wait_until_healthy(timeout=self._request_timeout):
             for handle in self._handles:
                 if handle.state != "up":
-                    raise ShardUnavailable(handle.index, operation)
-        return list(self._handles)
+                    raise ShardUnavailable(handle.index, op)
+        replies = self._scatter(op, params_of, self._handles)
+        answered = {handle.index for handle, _ in replies}
+        for handle in self._handles:
+            if handle.index not in answered:
+                raise ShardUnavailable(handle.index, op)
+        return sorted(replies, key=lambda reply: reply[0].index)
 
     # ------------------------------------------------------------------
     # Warehouse API
@@ -478,17 +460,10 @@ class ShardedWarehouse:
                 raise ValueError(
                     f"partition attribute {attr!r} is not in {name!r}"
                 )
-        handles = self._require_all("create_relation")
-        replies = self._scatter(
+        self._scatter_all(
             "create_relation",
             lambda _h: {"relation": name, "attributes": attributes},
-            handles,
         )
-        if len(replies) != len(handles):
-            missing = {h.index for h in handles} - {
-                h.index for h, _ in replies
-            }
-            raise ShardUnavailable(min(missing), "create_relation")
         self._partition_by[name] = key
 
     def register_synopsis(
@@ -506,7 +481,6 @@ class ShardedWarehouse:
         per registration, so shard samples are mutually independent
         and reproducible from the coordinator's master seed alone.
         """
-        handles = self._require_all("register")
         self._registration_count += 1
         chain = spawn_seeds(
             self._registration_master, self._registration_count
@@ -526,12 +500,7 @@ class ShardedWarehouse:
                 "hotlist": hotlist,
             }
 
-        replies = self._scatter("register", params, handles)
-        if len(replies) != len(handles):
-            missing = {h.index for h in handles} - {
-                h.index for h, _ in replies
-            }
-            raise ShardUnavailable(min(missing), "register")
+        self._scatter_all("register_synopsis", params)
         self._synopses[(relation, attribute)] = {
             "kind": kind,
             "hotlist": hotlist,
@@ -620,20 +589,16 @@ class ShardedWarehouse:
                 except ShardCrashed:
                     pass  # fall through to a degraded scatter
                 else:
-                    # The owner holds every row with this value, so a
-                    # routed answer has full coverage.
-                    return ClusterAnswer(
-                        response=codec.decode_response(
-                            result["response"]
-                        ),
-                        shards_responding=self._shards,
-                        shards_total=self._shards,
-                    )
+                    return self._routed(result)
         if isinstance(query, AverageQuery):
-            return self._answer_average(query)
-        if isinstance(query, SelectivityQuery):
-            return self._answer_selectivity(query)
-        return self._answer_scatter(query)
+            answer = self._answer_average(query)
+        elif isinstance(query, SelectivityQuery):
+            answer = self._answer_selectivity(query)
+        else:
+            answer = self._answer_scatter(query)
+        if answer.degraded:
+            self.metrics.degraded_answers_total.inc()
+        return answer
 
     def answer_batch(
         self, queries: Sequence[Query]
@@ -671,15 +636,20 @@ class ShardedWarehouse:
             for position, entry in zip(
                 positions, result["answers"], strict=True
             ):
-                answers[position] = ClusterAnswer(
-                    response=codec.decode_response(entry["response"]),
-                    shards_responding=self._shards,
-                    shards_total=self._shards,
-                )
+                answers[position] = self._routed(entry)
 
         list(self._pool.map(one_owner, routed.items()))
         assert all(answer is not None for answer in answers)
         return [answer for answer in answers if answer is not None]
+
+    def _routed(self, result: dict[str, Any]) -> ClusterAnswer:
+        """An owner shard's answer: it holds every row with the routed
+        value, so the answer has full coverage."""
+        return ClusterAnswer(
+            response=codec.decode_response(result["response"]),
+            shards_responding=self._shards,
+            shards_total=self._shards,
+        )
 
     def _route(self, query: Query) -> int | None:
         """The owner shard when the partition key pins one value."""
@@ -726,16 +696,10 @@ class ShardedWarehouse:
         ]
         responding = len(replies)
         if isinstance(query, HotListQuery):
-            answer = merge_hotlist_responses(
+            return merge_hotlist_responses(
                 responses, query.k, responding, self._shards
             )
-        else:
-            answer = merge_scalar_responses(
-                responses, responding, self._shards
-            )
-        if answer.degraded:
-            self.metrics.degraded_answers_total.inc()
-        return answer
+        return merge_scalar_responses(responses, responding, self._shards)
 
     def _answer_average(self, query: AverageQuery) -> ClusterAnswer:
         """AVERAGE = scattered SUM over scattered COUNT (or exact
@@ -769,16 +733,13 @@ class ShardedWarehouse:
             else:
                 count = codec.decode_response(count_entry["response"])
                 denominators.append(float(count.answer))
-        answer = merge_ratio_responses(
+        return merge_ratio_responses(
             numerators,
             denominators,
             len(replies),
             self._shards,
             method="cluster:average",
         )
-        if answer.degraded:
-            self.metrics.degraded_answers_total.inc()
-        return answer
 
     def _answer_selectivity(
         self, query: SelectivityQuery
@@ -800,16 +761,13 @@ class ShardedWarehouse:
         denominators = [
             float(result["relation_rows"]) for _handle, result in replies
         ]
-        answer = merge_ratio_responses(
+        return merge_ratio_responses(
             numerators,
             denominators,
             len(replies),
             self._shards,
             method="cluster:selectivity",
         )
-        if answer.degraded:
-            self.metrics.degraded_answers_total.inc()
-        return answer
 
     # ------------------------------------------------------------------
     # Theorem-2/5 synopsis gathering
@@ -820,40 +778,30 @@ class ShardedWarehouse:
         relation: str,
         attribute: str,
         *,
-        role: int = 0,
+        role: int | str = SAMPLE,
         footprint_bound: int | None = None,
     ) -> ConciseSample | CountingSample:
         """Gather every shard's synopsis and merge per Theorem 2/5.
 
+        ``role`` picks the aggregate sample (``"sample"`` or ``0``) or
+        the hot list's backing sample (``"hotlist"`` or ``1``).
         Needs the full fleet (a partial merge would silently drop a
         partition); waits out recoveries first.  The merged footprint
         bound defaults to the sum of the shard bounds, matching the
         equal-total-footprint comparison of the statistical tests.
         """
-        handles = self._require_all("synopsis")
         params = {
             "relation": relation,
             "attribute": attribute,
-            "role": role,
+            "role": (SAMPLE, HOTLIST)[role] if isinstance(role, int) else role,
         }
-        replies = self._scatter("synopsis", lambda _h: params, handles)
-        if len(replies) != len(handles):
-            missing = {h.index for h in handles} - {
-                h.index for h, _ in replies
-            }
-            raise ShardUnavailable(min(missing), "synopsis")
+        replies = self._scatter_all("synopsis", lambda _h: params)
         self._merge_count += 1
         chain = spawn_seeds(self._merge_master, self._merge_count)
         seeds = spawn_seeds(chain[self._merge_count - 1], len(replies) + 1)
-        states = [
-            result["state"]
-            for _handle, result in sorted(
-                replies, key=lambda reply: reply[0].index
-            )
-        ]
         restored = [
-            restore_synopsis(state, seed=seeds[i])
-            for i, state in enumerate(states)
+            restore_synopsis(result["state"], seed=seeds[i])
+            for i, (_handle, result) in enumerate(replies)
         ]
         bound = footprint_bound
         if bound is None:
@@ -894,6 +842,24 @@ class ShardedWarehouse:
     def hello_of(self, index: int) -> dict[str, Any] | None:
         """The most recent hello frame of one shard (None before boot)."""
         return self._handles[index].last_hello
+
+
+def _read_reply(
+    sock: socket.socket, decoder: FrameDecoder, request_id: str, index: int
+) -> dict[str, Any]:
+    """Read frames until the reply to ``request_id`` arrives."""
+    while True:
+        data = sock.recv(_RECV_BYTES)
+        if not data:
+            raise ShardCrashed(index, "socket closed")
+        for payload in decoder.feed(data):
+            reply_id, result, error = parse_reply(payload)
+            if reply_id != request_id:
+                continue  # stale frame from a dead exchange
+            if error is not None:
+                raise _RemoteError(*error)
+            assert result is not None
+            return result
 
 
 class _RemoteError(ClusterError):

@@ -7,19 +7,16 @@ Each worker owns a full single-process stack -- a
 WAL/checkpoint directory -- and serves its coordinator over one socket
 speaking the CRC-framed envelopes of :mod:`repro.serving.protocol`
 (the torn/corrupt triage of the WAL framing, inherited verbatim).
+Every op but ``bye`` and ``crash`` runs through the op table of
+:mod:`repro.serving.ops`, the one the AQP server uses, so both fronts
+check parameters, decode ingest columns and map errors the same way.
 
 Startup *is* recovery: the worker always rebuilds from its directory
 (an empty store recovers to an empty warehouse), re-registers every
-checkpointed synopsis binding with a fresh engine, and only then sends
-its hello frame.  A respawned worker therefore rejoins with exactly
-its WAL-recovered state, and the coordinator's failover path is the
-ordinary startup path.
-
-Registration convention: for each ``register`` op the worker binds the
-aggregate sample first and the hot-list reporter's backing sample
-second (same relation/attribute).  Binding order is preserved through
-checkpoints, so a recovering worker can tell the two roles apart
-without any side-channel state.
+checkpointed synopsis binding with a fresh engine -- by the role the
+binding stores -- and only then sends its hello frame.  A respawned
+worker therefore rejoins with exactly its WAL-recovered state, and the
+coordinator's failover path is the ordinary startup path.
 
 Fault injection rides the storage seam: a
 :class:`~repro.faults.plan.FaultPlan` in the shard config wraps the
@@ -36,27 +33,20 @@ import socket
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from repro.core.concise import ConciseSample
 from repro.core.counting import CountingSample
 from repro.engine.engine import ApproximateAnswerEngine
-from repro.engine.answering import NoSynopsisError
-from repro.engine.snapshots import Snapshotable, snapshot_synopsis
+from repro.engine.registry import HOTLIST
+from repro.engine.snapshots import Snapshotable
 from repro.faults.injector import FaultyFilesystem, SimulatedCrash
 from repro.faults.plan import FaultPlan
 from repro.hotlist.concise import ConciseHotList
 from repro.hotlist.counting import CountingHotList
 from repro.persist.checkpoint import CheckpointStore
-from repro.persist.columns import decode_columns, encode_columns
 from repro.persist.fsio import LocalFileSystem
 from repro.persist.recovery import RecoveryManager
-from repro.serving import codec
+from repro.serving.ops import Operations, describe_error
 from repro.serving.protocol import (
-    BAD_REQUEST,
-    INTERNAL,
-    NO_SYNOPSIS,
-    QUERY_ERROR,
     FrameDecoder,
     ProtocolError,
     encode_error,
@@ -87,187 +77,50 @@ class ShardConfig:
 
     ``recovery_seed`` re-seeds restored synopsis randomness; the
     coordinator derives it -- and every synopsis seed it later sends
-    in ``register`` ops -- via :func:`repro.randkit.spawn_seeds`, so
-    no RNG object ever crosses the process boundary (RL016).
+    in ``register_synopsis`` ops -- via :func:`repro.randkit.spawn_seeds`,
+    so no RNG object ever crosses the process boundary (RL016).
     """
 
     index: int
-    shards: int
     directory: str
     recovery_seed: int
     sync_every: int = 1
     fault_plan: FaultPlan | None = None
 
 
-class _ShardRuntime:
-    """The worker's live state: store, manager, warehouse, engine."""
-
-    def __init__(self, config: ShardConfig) -> None:
-        self.config = config
-        filesystem = None
-        if config.fault_plan is not None:
-            filesystem = FaultyFilesystem(
-                LocalFileSystem(), config.fault_plan
+def _recover(config: ShardConfig) -> tuple[Operations, dict[str, Any]]:
+    """Rebuild the shard from its directory: its ops and hello frame."""
+    filesystem = None
+    if config.fault_plan is not None:
+        filesystem = FaultyFilesystem(LocalFileSystem(), config.fault_plan)
+    store = CheckpointStore(
+        config.directory, filesystem, sync_every=config.sync_every
+    )
+    manager = RecoveryManager(store)
+    state = manager.recover(seed=config.recovery_seed)
+    engine = ApproximateAnswerEngine(state.warehouse)
+    # The fresh engine saw none of the recovered loads; prime its
+    # population counts so sample scaling survives the restart.
+    engine.adopt_row_counts()
+    for binding in manager.bindings:
+        if binding.role == HOTLIST:
+            engine.register_hotlist(
+                binding.relation,
+                binding.attribute,
+                _wrap_hotlist(binding.synopsis),
             )
-        self.store = CheckpointStore(
-            config.directory,
-            filesystem,
-            sync_every=config.sync_every,
-        )
-        self.manager = RecoveryManager(self.store)
-        state = self.manager.recover(seed=config.recovery_seed)
-        self.warehouse = state.warehouse
-        self.engine = ApproximateAnswerEngine(self.warehouse)
-        # The fresh engine saw none of the recovered loads; prime its
-        # population counts so sample scaling survives the restart.
-        self.engine.adopt_row_counts()
-        self.recovered_sequence = state.sequence
-        self.replayed = state.replayed
-        self._register_recovered()
-        self.manager.attach(self.warehouse)
-
-    def _register_recovered(self) -> None:
-        """Re-register checkpointed bindings with the fresh engine.
-
-        Per (relation, attribute) and in binding order: the first
-        synopsis is the aggregate sample, the second the hot-list
-        reporter's backing sample (see the module docstring).
-        """
-        seen: dict[tuple[str, str], int] = {}
-        for binding in self.manager.bindings:
-            key = (binding.relation, binding.attribute)
-            role = seen.get(key, 0)
-            seen[key] = role + 1
-            if role == 0:
-                self.engine.register_sample(
-                    binding.relation, binding.attribute, binding.synopsis
-                )
-            else:
-                self.engine.register_hotlist(
-                    binding.relation,
-                    binding.attribute,
-                    _wrap_hotlist(binding.synopsis),
-                )
-
-    # ------------------------------------------------------------------
-    # Op handlers
-    # ------------------------------------------------------------------
-
-    def hello(self) -> dict[str, Any]:
-        return {
-            "op": "hello",
-            "shard": self.config.index,
-            "sequence": self.recovered_sequence,
-            "replayed": self.replayed,
-        }
-
-    def create_relation(self, params: dict[str, Any]) -> dict[str, Any]:
-        name = str(params["relation"])
-        attributes = tuple(str(a) for a in params["attributes"])
-        self.warehouse.create_relation(name, attributes)
-        return {"relation": name}
-
-    def register(self, params: dict[str, Any]) -> dict[str, Any]:
-        relation = str(params["relation"])
-        attribute = str(params["attribute"])
-        kind = str(params["kind"])
-        bound = int(params["footprint_bound"])
-        seeds = [int(seed) for seed in params["seeds"]]
-        hotlist = bool(params.get("hotlist", False))
-        if kind == "concise-sample":
-            sample: Snapshotable = ConciseSample(bound, seed=seeds[0])
-        elif kind == "counting-sample":
-            sample = CountingSample(bound, seed=seeds[0])
         else:
-            raise ValueError(f"unknown synopsis kind {kind!r}")
-        self.engine.register_sample(relation, attribute, sample)
-        self.manager.bind(relation, attribute, sample)
-        if hotlist:
-            if len(seeds) < 2:
-                raise ValueError("hot-list registration needs two seeds")
-            if kind == "concise-sample":
-                reporter: ConciseHotList | CountingHotList = (
-                    ConciseHotList(bound, seed=seeds[1])
-                )
-            else:
-                reporter = CountingHotList(bound, seed=seeds[1])
-            self.engine.register_hotlist(relation, attribute, reporter)
-            self.manager.bind(relation, attribute, reporter.sample)
-        # Bindings become durable with the checkpoint; without it a
-        # crash before the first post-registration checkpoint would
-        # recover relations but silently drop the synopses.
-        sequence = self.manager.checkpoint()
-        return {"sequence": sequence}
-
-    def ingest(self, params: dict[str, Any]) -> dict[str, Any]:
-        relation = str(params["relation"])
-        columns = decode_columns(params["columns"])
-        rows = self.warehouse.load_batch(relation, columns)
-        return {"rows": rows, "sequence": self.manager.sequence}
-
-    def query(self, params: dict[str, Any]) -> dict[str, Any]:
-        query = codec.decode_query(params["query"])
-        response = self.engine.answer(query)
-        relation = getattr(query, "relation", None)
-        return {
-            "response": codec.encode_response(response),
-            "relation_rows": (
-                self.engine.rows_loaded(relation)
-                if relation is not None
-                else 0
-            ),
-        }
-
-    def query_batch(self, params: dict[str, Any]) -> dict[str, Any]:
-        answers = [
-            self.query({"query": payload})
-            for payload in params["queries"]
-        ]
-        return {"answers": answers}
-
-    def synopsis(self, params: dict[str, Any]) -> dict[str, Any]:
-        relation = str(params["relation"])
-        attribute = str(params["attribute"])
-        role = int(params.get("role", 0))
-        occurrence = 0
-        for binding in self.manager.bindings:
-            if (binding.relation, binding.attribute) != (
-                relation,
-                attribute,
-            ):
-                continue
-            if occurrence == role:
-                return {"state": snapshot_synopsis(binding.synopsis)}
-            occurrence += 1
-        raise NoSynopsisError(
-            f"no synopsis bound for {relation}.{attribute} role {role}"
-        )
-
-    def stats(self, params: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "shard": self.config.index,
-            "sequence": self.manager.sequence,
-            "rows": {
-                name: self.engine.rows_loaded(name)
-                for name in self.warehouse.relation_names()
-            },
-            "bindings": len(self.manager.bindings),
-        }
-
-    def checkpoint(self, params: dict[str, Any]) -> dict[str, Any]:
-        return {"sequence": self.manager.checkpoint()}
-
-
-_HANDLERS = {
-    "create_relation": _ShardRuntime.create_relation,
-    "register": _ShardRuntime.register,
-    "ingest": _ShardRuntime.ingest,
-    "query": _ShardRuntime.query,
-    "query_batch": _ShardRuntime.query_batch,
-    "synopsis": _ShardRuntime.synopsis,
-    "stats": _ShardRuntime.stats,
-    "checkpoint": _ShardRuntime.checkpoint,
-}
+            engine.register_sample(
+                binding.relation, binding.attribute, binding.synopsis
+            )
+    manager.attach(state.warehouse)
+    hello = {
+        "op": "hello",
+        "shard": config.index,
+        "sequence": state.sequence,
+        "replayed": state.replayed,
+    }
+    return Operations(state.warehouse, engine, manager), hello
 
 
 def _wrap_hotlist(
@@ -290,14 +143,6 @@ def _wrap_hotlist(
     return reporter
 
 
-def _error_code(error: Exception) -> str:
-    if isinstance(error, NoSynopsisError):
-        return NO_SYNOPSIS
-    if isinstance(error, (ValueError, KeyError, TypeError)):
-        return BAD_REQUEST
-    return QUERY_ERROR
-
-
 def worker_main(config: ShardConfig, channel: socket.socket) -> None:
     """The worker process entry point: recover, hello, serve, die.
 
@@ -308,15 +153,17 @@ def worker_main(config: ShardConfig, channel: socket.socket) -> None:
     without cleanup, modelling a hard kill.
     """
     try:
-        runtime = _ShardRuntime(config)
+        ops, hello = _recover(config)
     except SimulatedCrash:
         os._exit(2)
         return  # pragma: no cover - unreachable
+    manager = ops.manager
+    assert manager is not None
     decoder = FrameDecoder(
         max_frame_bytes=MAX_FRAME_BYTES,
         source=f"shard-{config.index}",
     )
-    channel.sendall(encode_result(HELLO_ID, runtime.hello()))
+    channel.sendall(encode_result(HELLO_ID, hello))
     try:
         while True:
             data = channel.recv(_RECV_BYTES)
@@ -336,43 +183,21 @@ def worker_main(config: ShardConfig, channel: socket.socket) -> None:
                     continue
                 if op == "bye":
                     channel.sendall(encode_result(request_id, {}))
-                    runtime.manager.detach()
-                    runtime.store.close()
+                    manager.detach()
+                    manager.store.close()
                     return
                 if op == "crash":
                     os._exit(2)
-                handler = _HANDLERS.get(op)
-                if handler is None:
-                    channel.sendall(
-                        encode_error(
-                            request_id, BAD_REQUEST, f"unknown op {op!r}"
-                        )
-                    )
-                    continue
                 try:
-                    result = handler(runtime, params)
+                    result = ops.call(op, params)
                 except SimulatedCrash:
                     os._exit(2)
                 except Exception as error:  # noqa: BLE001 - wire boundary
-                    channel.sendall(
-                        encode_error(
-                            request_id, _error_code(error), str(error)
-                        )
-                    )
+                    code, message = describe_error(error)
+                    channel.sendall(encode_error(request_id, code, message))
                 else:
                     channel.sendall(encode_result(request_id, result))
     except (BrokenPipeError, ConnectionResetError, OSError):
         return
     finally:
         channel.close()
-
-
-def encode_ingest_columns(
-    columns: dict[str, np.ndarray],
-) -> dict[str, Any]:
-    """Coordinator-side helper: columns as a JSON-able wire payload.
-
-    Thin alias over the WAL's columnar codec so the ingest wire format
-    and the batch WAL record format can never drift apart.
-    """
-    return encode_columns(columns)

@@ -84,11 +84,16 @@ class _WarehouseTap:
 
 @dataclass(frozen=True)
 class SynopsisBinding:
-    """One synopsis fed by one attribute of one relation."""
+    """One synopsis fed by one attribute of one relation.
+
+    ``role`` says what the synopsis serves: ``"sample"`` (aggregates)
+    or ``"hotlist"`` (a hot-list reporter's backing sample).
+    """
 
     relation: str
     attribute: str
     synopsis: Snapshotable
+    role: str = "sample"
 
 
 @dataclass
@@ -325,15 +330,20 @@ class RecoveryManager:
             self._oplog.observe_batch(relation, columns)
 
     def bind(
-        self, relation: str, attribute: str, synopsis: Snapshotable
+        self,
+        relation: str,
+        attribute: str,
+        synopsis: Snapshotable,
+        *,
+        role: str = "sample",
     ) -> SynopsisBinding:
         """Register a synopsis for checkpointing and replay.
 
-        Bindings live in the checkpoint payload: a binding made after
-        the last checkpoint is not yet durable, so checkpoint soon
-        after binding.
+        Bindings, roles included, live in the checkpoint payload: a
+        binding made after the last checkpoint is not yet durable, so
+        checkpoint soon after binding.
         """
-        binding = SynopsisBinding(relation, attribute, synopsis)
+        binding = SynopsisBinding(relation, attribute, synopsis, role)
         self._bindings.append(binding)
         return binding
 
@@ -363,6 +373,7 @@ class RecoveryManager:
                     {
                         "relation": binding.relation,
                         "attribute": binding.attribute,
+                        "role": binding.role,
                         "state": snapshot_synopsis(binding.synopsis),
                     }
                     for binding in self._bindings
@@ -479,11 +490,25 @@ class RecoveryManager:
             restored = restore_synopsis(
                 entry["state"], seed=rng.fork().seed
             )
+            relation_name = str(entry["relation"])
+            attribute = str(entry["attribute"])
+            role = entry.get("role")
+            if role is None:
+                # Checkpoints written before roles were stored bound
+                # the sample first and a hot list's backing sample
+                # second on the same attribute.
+                role = (
+                    "hotlist"
+                    if any(
+                        (b.relation, b.attribute)
+                        == (relation_name, attribute)
+                        for b in bindings
+                    )
+                    else "sample"
+                )
             bindings.append(
                 SynopsisBinding(
-                    str(entry["relation"]),
-                    str(entry["attribute"]),
-                    restored,
+                    relation_name, attribute, restored, str(role)
                 )
             )
 

@@ -10,6 +10,8 @@ service with response-time contracts):
   bit-exactly;
 * :mod:`~repro.serving.session` -- per-client handles plus an
   epoch-pinned snapshot view (read-snapshot isolation);
+* :mod:`~repro.serving.ops` -- the op table, parameter checks and
+  error-code map shared with the shard worker;
 * :mod:`~repro.serving.server` -- the asyncio server: bounded
   admission (typed ``server-busy``), graceful WAL-draining shutdown,
   full ``repro_server_*`` instrumentation;

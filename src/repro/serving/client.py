@@ -190,19 +190,8 @@ class AQPClient:
         answers pinned when the session holds a snapshot and the query
         is approximate, live otherwise.
         """
-        if (query is None) == (handle is None):
-            raise ValueError("pass exactly one of query or handle")
-        extra: dict[str, Any] = {}
-        if query is not None:
-            extra["query"] = codec.encode_query(query)
-        else:
-            extra["handle"] = handle
-        if mode is not None:
-            extra["mode"] = mode
-        if exact:
-            extra["exact"] = True
-        result = await self.request(
-            "query", self._session_params(extra)
+        result = await self.query_raw(
+            query, handle=handle, mode=mode, exact=exact
         )
         return codec.decode_response(result["response"])
 
@@ -235,8 +224,12 @@ class AQPClient:
         self, relation: str, columns: dict[str, list[int]]
     ) -> int:
         """Load one batch; returns rows acked by the server."""
+        tagged = {
+            attribute: {"kind": "int", "values": values}
+            for attribute, values in columns.items()
+        }
         result = await self.request(
-            "ingest", {"relation": relation, "columns": columns}
+            "ingest", {"relation": relation, "columns": tagged}
         )
         return int(result["rows"])
 

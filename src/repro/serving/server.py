@@ -7,6 +7,9 @@ the CRC-framed envelope protocol of :mod:`repro.serving.protocol`.
 Connections are handled concurrently but each connection's requests
 run in order, and all synopsis/warehouse access happens on the event
 loop -- batches stay atomic with respect to queries by construction.
+The op bodies, their parameter checks and the error-code map live in
+:mod:`repro.serving.ops`, shared with the shard worker; the server
+adds sessions, pinned/live mode, admission, draining and tracing.
 
 Three contracts the test battery enforces:
 
@@ -33,13 +36,14 @@ injected ``clock`` callable defaulting to
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.engine.answering import NoSynopsisError
 from repro.engine.engine import ApproximateAnswerEngine
+from repro.engine.queries import Query
 from repro.engine.relation import RelationError
+from repro.engine.responses import QueryResponse
 from repro.engine.warehouse import DataWarehouse
 from repro.obs import clock as obs_clock
 from repro.obs.metrics import MetricsRegistry
@@ -47,13 +51,11 @@ from repro.obs.tracing import ActiveTrace, QueryTracer
 from repro.persist.recovery import RecoveryManager
 from repro.serving import codec
 from repro.serving.metrics import ServerMetrics
+from repro.serving.ops import Operations, decode_query, describe_error, flag, string
 from repro.serving.protocol import (
     BAD_REQUEST,
     DEFAULT_MAX_FRAME_BYTES,
-    INTERNAL,
     NO_SESSION,
-    NO_SYNOPSIS,
-    QUERY_ERROR,
     SERVER_BUSY,
     SHUTTING_DOWN,
     FrameDecoder,
@@ -70,6 +72,9 @@ __all__ = ["AQPServer"]
 #: (hello/ping/snapshot/register/stats/bye) is cheap bookkeeping and
 #: bypasses it.
 _HEAVY_OPS = frozenset({"query", "ingest"})
+
+#: Ops served straight from the shared op table (:mod:`repro.serving.ops`).
+_TABLE_OPS = frozenset({"create_relation", "ingest"})
 
 _READ_CHUNK = 1 << 16
 
@@ -133,6 +138,7 @@ class AQPServer:
         self.warehouse = warehouse
         self.engine = engine
         self.manager = manager
+        self.ops = Operations(warehouse, engine, manager)
         self.tracer = tracer
         self.max_in_flight = max_in_flight
         self.max_queue = max_queue
@@ -355,26 +361,17 @@ class AQPServer:
             self._metrics.requests_total(op, "ok").inc()
             await self._send(writer, encode_result(request_id, result))
             return goodbye
-        except ProtocolError as error:
-            self._metrics.requests_total(op, "error").inc()
-            await self._send(
-                writer,
-                encode_error(request_id, error.code, error.message),
-            )
-            return False
-        except self._fatal:
-            # A simulated crash: the server is already aborted, no
-            # error response may be written (the transport is gone).
+        except self._fatal as error:
+            # A simulated crash: abort the server; no error response
+            # may be written (the transport is gone).
+            self.fatal_error = error
+            self.abort()
             raise
         except Exception as error:
+            code, message = describe_error(error)
             self._metrics.requests_total(op, "error").inc()
             await self._send(
-                writer,
-                encode_error(
-                    request_id,
-                    INTERNAL,
-                    f"{type(error).__name__}: {error}",
-                ),
+                writer, encode_error(request_id, code, message)
             )
             return False
         finally:
@@ -423,15 +420,13 @@ class AQPServer:
         if op == "register":
             return self._op_register(params), False
         if op == "query":
-            return await self._op_query(params, trace), False
-        if op == "ingest":
-            return self._op_ingest(params), False
-        if op == "create_relation":
-            return self._op_create_relation(params), False
+            return self._op_query(params, trace), False
         if op == "stats":
             return self._op_stats(), False
         if op == "bye":
             return self._op_bye(params, sessions), True
+        if op in _TABLE_OPS:
+            return self.ops.call(op, params), False
         raise ProtocolError(BAD_REQUEST, f"unknown op {op!r}")
 
     # ------------------------------------------------------------------
@@ -475,19 +470,11 @@ class AQPServer:
 
     def _op_register(self, params: dict[str, Any]) -> dict[str, Any]:
         session = self._session_for(params)
-        handle = params.get("handle")
-        if not isinstance(handle, str) or not handle:
-            raise ProtocolError(
-                BAD_REQUEST, "'handle' must be a non-empty string"
-            )
-        try:
-            query = codec.decode_query(params.get("query"))
-        except ValueError as error:
-            raise ProtocolError(BAD_REQUEST, str(error)) from error
-        session.register(handle, query)
+        handle = string(params, "handle")
+        session.register(handle, decode_query(params.get("query")))
         return {"handle": handle}
 
-    async def _op_query(
+    def _op_query(
         self, params: dict[str, Any], trace: ActiveTrace | None
     ) -> dict[str, Any]:
         session = self._session_for(params)
@@ -500,11 +487,8 @@ class AQPServer:
                     BAD_REQUEST, f"unregistered handle {handle!r}"
                 ) from None
         else:
-            try:
-                query = codec.decode_query(params.get("query"))
-            except ValueError as error:
-                raise ProtocolError(BAD_REQUEST, str(error)) from error
-        exact = bool(params.get("exact", False))
+            query = decode_query(params.get("query"))
+        exact = flag(params, "exact")
         mode = params.get("mode")
         if mode is None:
             mode = (
@@ -521,43 +505,28 @@ class AQPServer:
                 BAD_REQUEST,
                 "exact queries scan live base data; use mode=live",
             )
+        answer: Callable[[Query], QueryResponse]
+        if mode == "live":
+            answer = partial(self.engine.answer, exact=exact)
+        elif session.pinned is not None:
+            answer = session.pinned.answer
+        else:
+            raise ProtocolError(
+                BAD_REQUEST, "no snapshot pinned; send a snapshot op first"
+            )
         tracer = self.tracer
         try:
-            if mode == "pinned":
-                if session.pinned is None:
-                    raise ProtocolError(
-                        BAD_REQUEST,
-                        "no snapshot pinned; send a snapshot op first",
-                    )
-                if tracer is not None and trace is not None:
-                    with tracer.child(trace, "execute"):
-                        response = session.pinned.answer(query)
-                else:
-                    response = session.pinned.answer(query)
+            if tracer is not None and trace is not None:
+                with tracer.child(trace, "execute"):
+                    response = answer(query)
             else:
-                if tracer is not None and trace is not None:
-                    with tracer.child(trace, "execute"):
-                        response = self.engine.answer(query, exact=exact)
-                else:
-                    response = self.engine.answer(query, exact=exact)
-        except self._fatal as error:
-            self.fatal_error = error
-            self.abort()
-            raise
-        except NoSynopsisError as error:
+                response = answer(query)
+        except (NoSynopsisError, ValueError, RelationError) as error:
             if tracer is not None and trace is not None:
                 tracer.finish_error(
                     trace, query, error, requested_exact=exact
                 )
-            raise ProtocolError(NO_SYNOPSIS, str(error)) from error
-        except ProtocolError:
             raise
-        except (ValueError, RelationError) as error:
-            if tracer is not None and trace is not None:
-                tracer.finish_error(
-                    trace, query, error, requested_exact=exact
-                )
-            raise ProtocolError(QUERY_ERROR, str(error)) from error
         if tracer is not None and trace is not None:
             tracer.finish(trace, query, response, requested_exact=exact)
         return {
@@ -565,76 +534,13 @@ class AQPServer:
             "mode": mode,
         }
 
-    def _op_ingest(self, params: dict[str, Any]) -> dict[str, Any]:
-        relation = params.get("relation")
-        if not isinstance(relation, str) or not relation:
-            raise ProtocolError(
-                BAD_REQUEST, "'relation' must be a non-empty string"
-            )
-        columns = params.get("columns")
-        if not isinstance(columns, dict) or not columns:
-            raise ProtocolError(
-                BAD_REQUEST, "'columns' must be a non-empty object"
-            )
-        arrays: dict[str, np.ndarray] = {}
-        for attribute, values in columns.items():
-            if not isinstance(values, list):
-                raise ProtocolError(
-                    BAD_REQUEST,
-                    f"column {attribute!r} must be a list of integers",
-                )
-            try:
-                arrays[attribute] = np.asarray(values, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError) as error:
-                raise ProtocolError(
-                    BAD_REQUEST,
-                    f"column {attribute!r} is not integral: {error}",
-                ) from error
-        try:
-            rows = self.warehouse.load_batch(relation, arrays)
-        except self._fatal as error:
-            self.fatal_error = error
-            self.abort()
-            raise
-        except (ValueError, RelationError) as error:
-            raise ProtocolError(QUERY_ERROR, str(error)) from error
-        # The ack: load_batch returned, so the relation, every
-        # registered synopsis, and (when a recovery manager observes
-        # the warehouse) the WAL have all absorbed the batch.
-        return {"rows": rows}
-
-    def _op_create_relation(
-        self, params: dict[str, Any]
-    ) -> dict[str, Any]:
-        relation = params.get("relation")
-        attributes = params.get("attributes")
-        if not isinstance(relation, str) or not relation:
-            raise ProtocolError(
-                BAD_REQUEST, "'relation' must be a non-empty string"
-            )
-        if not isinstance(attributes, list) or not all(
-            isinstance(attribute, str) and attribute
-            for attribute in attributes
-        ):
-            raise ProtocolError(
-                BAD_REQUEST, "'attributes' must be a list of strings"
-            )
-        try:
-            self.warehouse.create_relation(relation, list(attributes))
-        except RelationError as error:
-            raise ProtocolError(QUERY_ERROR, str(error)) from error
-        return {"relation": relation}
-
     def _op_stats(self) -> dict[str, Any]:
         return {
+            **self.ops.stats({}),
             "sessions": len(self._sessions),
             "in_flight": self._active,
             "queue_depth": self._waiting,
             "draining": self._draining,
-            "relations": {
-                name: self.warehouse.relation(name).size
-                for name in self.warehouse.relation_names()
-            },
         }
 
     def _op_bye(
