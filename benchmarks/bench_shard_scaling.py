@@ -9,13 +9,15 @@ synopsis footprint budget (the paper's fixed-memory framing, split
 ``total / shards`` per worker, matching ``merged_synopsis``'s default
 bound and the statistical-equivalence tests).
 
-The scaling mechanism is the partitioning itself: a routed frequency
-query scans the owner shard's sample, which holds ``~1/shards`` of the
-points a single-process sample holds at the same total budget, so the
-per-query answer cost falls with the shard count while accuracy is
-unchanged (each shard's sampling fraction equals the oracle's).  In
-the sustained mix below that frees the serving loop to ingest -- both
-throughput numbers are wall-clock measurements of the same loop.
+A routed frequency query is one ``count_of`` lookup in the owner
+shard's sample, whatever that sample's size, so partitioning does not
+cut the per-query answer cost; what the fleet adds per request is the
+scatter, the IPC and the gather.  Throughput therefore scales with
+shards only where the host has a core per worker -- the recorded
+``cpu_cores`` says which case a baseline is.  Accuracy is unchanged
+at every level (each shard's sampling fraction equals the oracle's).
+Both throughput numbers are wall-clock measurements of the same
+serving-while-ingesting loop.
 
 A second section kills a worker mid-serving: the survivors keep
 answering (degraded answers counted), the coordinator restarts the

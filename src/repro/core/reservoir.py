@@ -121,13 +121,22 @@ class ReservoirSample(StreamSynopsis):
             self._columnar = view
         return view
 
+    def count_of(self, value: int) -> int:
+        """How many sample points equal ``value`` (0 if absent): a
+        binary search of the sorted :meth:`columnar_view`."""
+        values, counts = self.columnar_view()
+        index = int(np.searchsorted(values, value))
+        if index < len(values) and values[index] == value:
+            return int(counts[index])
+        return 0
+
     def estimate_frequency(self, value: int) -> float:
         """Estimated relation count of ``value``: sample count times
         ``n / m``."""
         if not self._reservoir:
             return 0.0
         scale = self._seen / len(self._reservoir)
-        return sum(1 for point in self._reservoir if point == value) * scale
+        return self.count_of(value) * scale
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Protocol
 
-import numpy as np
-
 from repro.core.concise import ConciseSample
 from repro.core.reservoir import ReservoirSample
 from repro.engine.queries import (
@@ -45,16 +43,16 @@ from repro.engine.responses import QueryResponse
 from repro.estimators.aggregates import (
     estimate_average,
     estimate_count,
+    estimate_matching_count,
     estimate_sum,
 )
-from repro.estimators.selectivity import Predicate, estimate_selectivity
+from repro.estimators.selectivity import estimate_selectivity
 
 __all__ = [
     "AnswerSource",
     "NoSynopsisError",
     "answer_approximate",
     "estimate_distinct_value",
-    "sample_points",
 ]
 
 
@@ -91,23 +89,21 @@ class AnswerSource(Protocol):
         ...
 
 
-def sample_points(
+def _uniform_sample(
     source: AnswerSource, relation: str, attribute: str
-) -> np.ndarray:
-    """The uniform-sample points registered for an attribute."""
+) -> ConciseSample | ReservoirSample:
+    """The uniform sample registered for an attribute."""
     sample = source.lookup_synopsis(relation, attribute, SAMPLE)
     if sample is None:
         raise NoSynopsisError(
             f"no sample registered for {relation}.{attribute}"
         )
-    if isinstance(sample, ConciseSample):
-        return sample.sample_points()
-    if isinstance(sample, ReservoirSample):
-        return sample.as_array()
-    raise NoSynopsisError(
-        f"registered sample for {relation}.{attribute} has an "
-        "unsupported type"
-    )
+    if not isinstance(sample, (ConciseSample, ReservoirSample)):
+        raise NoSynopsisError(
+            f"registered sample for {relation}.{attribute} has an "
+            "unsupported type"
+        )
+    return sample
 
 
 def estimate_distinct_value(
@@ -124,11 +120,12 @@ def estimate_distinct_value(
             guaranteed_error_estimator,
         )
 
-        points = sample_points(source, relation, attribute)
-        if len(points):
+        uniform = _uniform_sample(source, relation, attribute)
+        values, counts = uniform.columnar_view()
+        if len(counts):
             return guaranteed_error_estimator(
-                frequency_profile(points),
-                max(source.rows_loaded(relation), len(points)),
+                frequency_profile(values, counts=counts),
+                max(source.rows_loaded(relation), uniform.sample_size),
             )
     # Fall back to the hot list's own support (a lower bound).
     reporter = source.lookup_synopsis(relation, attribute, HOTLIST)
@@ -286,35 +283,56 @@ def answer_approximate(
                 query, histogram, population, scan_cost
             )
 
-    points = sample_points(source, query.relation, query.attribute)
+    sample = _uniform_sample(source, query.relation, query.attribute)
     conservative = source.conservative_intervals
     if isinstance(query, FrequencyQuery):
-        predicate = Predicate(equals=query.value)
-        estimate = estimate_count(
-            points,
+        # One count_of lookup: O(1) in a concise sample's dict.
+        estimate = estimate_matching_count(
+            sample.count_of(query.value),
+            sample.sample_size,
             population,
-            predicate.mask,
             conservative=conservative,
         )
-    elif isinstance(query, CountQuery):
+        return QueryResponse(
+            answer=estimate.value,
+            interval=estimate.interval,
+            method="sample",
+            is_exact=False,
+            exact_cost_estimate=scan_cost,
+        )
+
+    # The (value, count) pairs: answers cost O(m) in the footprint,
+    # never O(m') in the points the pairs stand for.
+    values, counts = sample.columnar_view()
+    if isinstance(query, CountQuery):
         mask = query.predicate.mask if query.predicate else None
         estimate = estimate_count(
-            points, population, mask, conservative=conservative
+            values,
+            population,
+            mask,
+            conservative=conservative,
+            counts=counts,
         )
     elif isinstance(query, SumQuery):
         mask = query.predicate.mask if query.predicate else None
         estimate = estimate_sum(
-            points, population, mask, conservative=conservative
+            values,
+            population,
+            mask,
+            conservative=conservative,
+            counts=counts,
         )
     elif isinstance(query, AverageQuery):
         mask = query.predicate.mask if query.predicate else None
         estimate = estimate_average(
-            points, mask, conservative=conservative
+            values, mask, conservative=conservative, counts=counts
         )
     elif isinstance(query, SelectivityQuery):
         if query.predicate is None:
             raise ValueError("selectivity query needs a predicate")
-        selectivity = estimate_selectivity(points, query.predicate)
+        selectivity = estimate_selectivity(
+            values, query.predicate, counts=counts
+        )
         return QueryResponse(
             answer=selectivity.selectivity,
             interval=selectivity.interval,

@@ -547,9 +547,6 @@ class ApproximateAnswerEngine:
 
         return PinnedEngineView.capture(self)
 
-    def _sample_points(self, relation: str, attribute: str) -> np.ndarray:
-        return answering.sample_points(self, relation, attribute)
-
     def _estimate_distinct(self, relation: str, attribute: str) -> float:
         """Best-available distinct-count estimate for a join column."""
         return answering.estimate_distinct_value(self, relation, attribute)

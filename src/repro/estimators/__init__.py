@@ -2,9 +2,9 @@
 
 "A concise sample ... can be used as a uniform random sample in any
 sampling-based technique for providing approximate query answers"
-(Section 3).  These estimators consume sample points -- from a
-traditional reservoir, from a concise sample's expansion, or from a
-converted counting sample -- and return estimates with the confidence
+(Section 3).  These estimators consume a uniform sample -- as points,
+or as the ``(value, count)`` pairs of a sample's ``columnar_view()``,
+which they never expand -- and return estimates with the confidence
 intervals the approximate answer engine attaches to its responses.
 Because concise samples provide more sample points at equal footprint,
 every estimator here gets tighter intervals from them.

@@ -1,11 +1,17 @@
-"""COUNT / SUM / AVG estimation from uniform sample points.
+"""COUNT / SUM / AVG estimation from a uniform sample.
 
-Each estimator takes the expanded sample points (for a concise sample,
-:meth:`~repro.core.concise.ConciseSample.sample_points`), an optional
-predicate over values, and the population size ``n``, and returns an
-estimate with a CLT confidence interval.  More sample points mean
-``1/sqrt(m')`` narrower intervals -- the concrete payoff of concise
-samples for aggregation queries.
+Each estimator takes the sample as ``values`` with optional ``counts``:
+either the sample points themselves (``counts=None``, every point
+weighing one), or the ``(value, count)`` pairs of a concise sample's
+:meth:`~repro.core.concise.ConciseSample.columnar_view`, where value
+``values[i]`` stands for ``counts[i]`` sample points.  Both forms give
+the same estimate from the same sample, but the pair form costs
+``O(m)`` in the footprint rather than ``O(m')`` in the sample size --
+the paper's point that a concise sample answers from its footprint.
+
+Each returns an estimate with a CLT confidence interval.  More sample
+points mean ``1/sqrt(m')`` narrower intervals -- the concrete payoff
+of concise samples for aggregation queries.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "AggregateEstimate",
     "estimate_average",
     "estimate_count",
+    "estimate_matching_count",
     "estimate_sum",
 ]
 
@@ -41,52 +48,80 @@ class AggregateEstimate:
     sample_size: int
 
 
+def _weights(
+    values: np.ndarray, counts: np.ndarray | None
+) -> tuple[np.ndarray, int]:
+    """Per-value point counts (one per value without ``counts``) and
+    their total ``m'``; an empty sample raises."""
+    if counts is None:
+        weights = np.ones(len(values), dtype=np.int64)
+    elif np.shape(counts) != np.shape(values):
+        raise ValueError("counts must give one count per value")
+    else:
+        weights = np.asarray(counts)
+    size = int(weights.sum())
+    if size == 0:
+        raise ValueError("cannot estimate from an empty sample")
+    return weights, size
+
+
 def _predicate_mask(
-    points: np.ndarray, predicate: Callable[[np.ndarray], np.ndarray] | None
+    values: np.ndarray, predicate: Callable[[np.ndarray], np.ndarray] | None
 ) -> np.ndarray:
     if predicate is None:
-        return np.ones(len(points), dtype=bool)
-    mask = np.asarray(predicate(points), dtype=bool)
-    if mask.shape != points.shape:
+        return np.ones(len(values), dtype=bool)
+    mask = np.asarray(predicate(values), dtype=bool)
+    if mask.shape != values.shape:
         raise ValueError("predicate must return one boolean per point")
     return mask
 
 
-def estimate_count(
-    points: np.ndarray,
+def _moments(
+    values: np.ndarray, weights: np.ndarray
+) -> tuple[float, float, float]:
+    """Mean, ``ddof=1`` variance and range of ``repeat(values, weights)``.
+
+    Computed from the pairs, without expanding them.  ``weights`` must
+    sum to at least one; values of weight zero are no points at all.
+    """
+    size = int(weights.sum())
+    mean = float(weights @ values) / size
+    variance = (
+        float(weights @ np.square(values - mean)) / (size - 1)
+        if size > 1
+        else 0.0
+    )
+    present = values[weights > 0]
+    return mean, variance, float(present.max() - present.min())
+
+
+def estimate_matching_count(
+    matching: int,
+    sample_size: int,
     population: int,
-    predicate: Callable[[np.ndarray], np.ndarray] | None = None,
     confidence: float = 0.95,
     *,
     conservative: bool = False,
 ) -> AggregateEstimate:
-    """Estimate how many of the ``population`` rows match the predicate.
+    """Scale ``matching`` of ``sample_size`` sample points to a count.
 
     The estimator is ``population * (matching fraction)``; the interval
     is the CLT interval of the Bernoulli proportion, except at the
     degenerate proportions 0 and 1 where the CLT interval collapses to
     zero width (the classic Wald failure) -- there the Wilson score
     interval is used so "no sample point matched" is reported with
-    honest uncertainty rather than false certainty.  A ``None``
-    predicate is COUNT(*): the engine knows the population exactly.
+    honest uncertainty rather than false certainty.
 
     With ``conservative=True`` the interval is the distribution-free
     Hoeffding bound instead: wider, but guaranteed at any finite
     sample size rather than asymptotically -- what calibration
     auditing checks against.
     """
-    m = len(points)
-    if m == 0:
+    if sample_size == 0:
         raise ValueError("cannot estimate from an empty sample")
     if population < 0:
         raise ValueError("population must be non-negative")
-    if predicate is None:
-        exact = ConfidenceInterval(
-            float(population), float(population), confidence
-        )
-        return AggregateEstimate(float(population), exact, m)
-    mask = _predicate_mask(points, predicate)
-    matching = int(mask.sum())
+    m = sample_size
     proportion = matching / m
     estimate = population * proportion
     if conservative:
@@ -111,37 +146,70 @@ def estimate_count(
     )
 
 
-def estimate_sum(
-    points: np.ndarray,
+def estimate_count(
+    values: np.ndarray,
     population: int,
     predicate: Callable[[np.ndarray], np.ndarray] | None = None,
     confidence: float = 0.95,
     *,
     conservative: bool = False,
+    counts: np.ndarray | None = None,
+) -> AggregateEstimate:
+    """Estimate how many of the ``population`` rows match the predicate.
+
+    Counts the matching sample points and scales them with
+    :func:`estimate_matching_count`.  A ``None`` predicate is
+    COUNT(*): the engine knows the population exactly.
+    """
+    weights, m = _weights(values, counts)
+    if population < 0:
+        raise ValueError("population must be non-negative")
+    if predicate is None:
+        exact = ConfidenceInterval(
+            float(population), float(population), confidence
+        )
+        return AggregateEstimate(float(population), exact, m)
+    matching = int(weights[_predicate_mask(values, predicate)].sum())
+    return estimate_matching_count(
+        matching, m, population, confidence, conservative=conservative
+    )
+
+
+def estimate_sum(
+    values: np.ndarray,
+    population: int,
+    predicate: Callable[[np.ndarray], np.ndarray] | None = None,
+    confidence: float = 0.95,
+    *,
+    conservative: bool = False,
+    counts: np.ndarray | None = None,
 ) -> AggregateEstimate:
     """Estimate the sum of the attribute over matching rows.
 
     The per-sample contribution is ``value * 1[predicate]``; scaling
-    its mean by ``population`` gives an unbiased sum estimate.
+    its mean by ``population`` gives an unbiased sum estimate.  The
+    points that do not match contribute zeros, so they enter as one
+    zero value carrying all of their count.
 
     With ``conservative=True`` the interval is the empirical Bernstein
     bound over the contributions (range taken from the observed sample
-    extremes): finite-sample valid rather than asymptotic.
+    extremes, including 0 when some point does not match):
+    finite-sample valid rather than asymptotic.
     """
-    m = len(points)
-    if m == 0:
-        raise ValueError("cannot estimate from an empty sample")
+    weights, m = _weights(values, counts)
     if population < 0:
         raise ValueError("population must be non-negative")
-    mask = _predicate_mask(points, predicate)
-    contributions = np.where(mask, points.astype(np.float64), 0.0)
-    mean = contributions.mean()
+    mask = _predicate_mask(values, predicate)
+    matched = weights[mask]
+    contributions = np.append(values[mask].astype(np.float64), 0.0)
+    contribution_weights = np.append(matched, m - int(matched.sum()))
+    mean, variance, value_range = _moments(
+        contributions, contribution_weights
+    )
     estimate = population * mean
     if conservative:
-        variance = float(contributions.var(ddof=1)) if m > 1 else 0.0
-        value_range = float(contributions.max() - contributions.min())
         bernstein = empirical_bernstein_interval(
-            float(mean), variance, value_range, m, confidence
+            mean, variance, value_range, m, confidence
         )
         interval = ConfidenceInterval(
             bernstein.low * population,
@@ -149,8 +217,7 @@ def estimate_sum(
             confidence,
         )
         return AggregateEstimate(float(estimate), interval, m)
-    spread = contributions.std(ddof=1) if m > 1 else 0.0
-    standard_error = population * spread / math.sqrt(m)
+    standard_error = population * math.sqrt(variance) / math.sqrt(m)
     return AggregateEstimate(
         float(estimate),
         clt_interval(float(estimate), float(standard_error), confidence),
@@ -159,11 +226,12 @@ def estimate_sum(
 
 
 def estimate_average(
-    points: np.ndarray,
+    values: np.ndarray,
     predicate: Callable[[np.ndarray], np.ndarray] | None = None,
     confidence: float = 0.95,
     *,
     conservative: bool = False,
+    counts: np.ndarray | None = None,
 ) -> AggregateEstimate:
     """Estimate the average attribute value over matching rows.
 
@@ -175,28 +243,26 @@ def estimate_average(
     bound over the matching points: finite-sample valid rather than
     asymptotic.
     """
-    if len(points) == 0:
-        raise ValueError("cannot estimate from an empty sample")
-    mask = _predicate_mask(points, predicate)
-    matching = points[mask].astype(np.float64)
-    m = len(matching)
+    weights, _ = _weights(values, counts)
+    mask = _predicate_mask(values, predicate)
+    matched = weights[mask]
+    m = int(matched.sum())
     if m == 0:
         raise ValueError("no sample point matches the predicate")
-    mean = matching.mean()
+    mean, variance, value_range = _moments(
+        values[mask].astype(np.float64), matched
+    )
     if conservative:
-        variance = float(matching.var(ddof=1)) if m > 1 else 0.0
-        value_range = float(matching.max() - matching.min())
         return AggregateEstimate(
-            float(mean),
+            mean,
             empirical_bernstein_interval(
-                float(mean), variance, value_range, m, confidence
+                mean, variance, value_range, m, confidence
             ),
             m,
         )
-    spread = matching.std(ddof=1) if m > 1 else 0.0
-    standard_error = spread / math.sqrt(m)
+    standard_error = math.sqrt(variance) / math.sqrt(m)
     return AggregateEstimate(
-        float(mean),
-        clt_interval(float(mean), float(standard_error), confidence),
+        mean,
+        clt_interval(mean, float(standard_error), confidence),
         m,
     )

@@ -22,10 +22,18 @@ __all__ = [
 ]
 
 
-def frequency_profile(points: np.ndarray) -> dict[int, int]:
-    """``f_i``: how many distinct values occur exactly ``i`` times."""
-    _, point_counts = np.unique(points, return_counts=True)
-    sizes, frequencies = np.unique(point_counts, return_counts=True)
+def frequency_profile(
+    values: np.ndarray, *, counts: np.ndarray | None = None
+) -> dict[int, int]:
+    """``f_i``: how many distinct values occur exactly ``i`` times.
+
+    ``values`` are sample points, or with ``counts`` the distinct
+    values of a ``(value, count)`` view (a sample's
+    ``columnar_view()``), whose counts are the profile's input as is.
+    """
+    if counts is None:
+        _, counts = np.unique(values, return_counts=True)
+    sizes, frequencies = np.unique(counts, return_counts=True)
     return dict(zip(sizes.tolist(), frequencies.tolist(), strict=True))
 
 

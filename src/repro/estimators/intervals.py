@@ -141,9 +141,11 @@ def wilson_interval(
         )
         / denominator
     )
-    return ConfidenceInterval(
-        max(0.0, centre - margin), min(1.0, centre + margin), confidence
-    )
+    # At the degenerate proportions the score interval ends exactly at
+    # 0 or 1; rounding must not push the estimate outside it.
+    low = 0.0 if matching == 0 else max(0.0, centre - margin)
+    high = 1.0 if matching == n else min(1.0, centre + margin)
+    return ConfidenceInterval(low, high, confidence)
 
 
 def hoeffding_count_interval(

@@ -3,18 +3,18 @@
 Selectivity -- the fraction of rows matching a predicate -- drives the
 query-optimizer use case the paper mentions ("techniques for fast
 approximate answers can also be used ... within the query optimizer to
-estimate plan costs").  Estimation works from sample points or from a
+estimate plan costs").  Estimation works from a uniform sample or from a
 histogram synopsis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.estimators.intervals import ConfidenceInterval, clt_interval
+from repro.estimators.aggregates import estimate_count
+from repro.estimators.intervals import ConfidenceInterval
 
 __all__ = ["Predicate", "SelectivityEstimate", "estimate_selectivity"]
 
@@ -79,20 +79,25 @@ class SelectivityEstimate:
 
 
 def estimate_selectivity(
-    points: np.ndarray,
+    values: np.ndarray,
     predicate: Predicate,
     confidence: float = 0.95,
+    *,
+    counts: np.ndarray | None = None,
 ) -> SelectivityEstimate:
-    """Estimate a predicate's selectivity from uniform sample points."""
-    m = len(points)
-    if m == 0:
-        raise ValueError("cannot estimate from an empty sample")
-    proportion = float(predicate.mask(points).mean())
-    standard_error = math.sqrt(
-        max(proportion * (1.0 - proportion), 0.0) / m
+    """Estimate a predicate's selectivity from a uniform sample.
+
+    The sample is given as in :func:`~repro.estimators.aggregates.estimate_count`
+    (points, or ``(value, count)`` pairs with ``counts``).  Selectivity
+    is the matching count of a population of one, so it shares that
+    estimator's interval: CLT, or Wilson when no point or every point
+    matches, where the CLT interval would collapse to zero width.
+    """
+    count = estimate_count(
+        values, 1, predicate.mask, confidence, counts=counts
     )
-    interval = clt_interval(proportion, standard_error, confidence)
+    interval = count.interval
     clipped = ConfidenceInterval(
         max(0.0, interval.low), min(1.0, interval.high), confidence
     )
-    return SelectivityEstimate(proportion, clipped, m)
+    return SelectivityEstimate(count.value, clipped, count.sample_size)
