@@ -6,9 +6,9 @@ Two questions about :class:`repro.obs.audit.CalibrationAuditor`:
   hot query path, as a function of the audit fraction?  Fraction 0
   must be free (the seeded coin short-circuits); higher fractions pay
   for exact base-data shadows, which is the price of the calibration
-  signal.  The no-auditor configuration replicates the
-  ``engine_cache.count.uncached`` setup of ``bench_query_path.py`` so
-  the committed baselines stay comparable.
+  signal.  The no-auditor configuration is an uncached count query
+  over one concise sample, the baseline the audited runs are
+  compared against.
 * **Measured coverage** -- on a zipf-skewed workload with
   ``conservative_intervals=True`` (distribution-free Hoeffding /
   empirical-Bernstein bounds), does empirical audit coverage meet the
@@ -80,7 +80,7 @@ def _timed_loop(calls: int, fn) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Probe overhead: the bench_query_path count workload, audited
+# Probe overhead: an uncached count workload, audited
 # ----------------------------------------------------------------------
 
 

@@ -1,12 +1,12 @@
-"""Ingest throughput: per-row vs vectorized batch vs sharded-parallel.
+"""Ingest throughput: per-row vs vectorized batch.
 
-Measures the three ingestion paths introduced by the batch pipeline --
-the per-element ``insert`` loop, the vectorized ``insert_array``, and
-``ShardedSynopsis`` parallel ingest -- for concise and counting
-samples, plus end-to-end ``DataWarehouse.load`` vs ``load_batch``
-with an engine synopsis attached.  Writes the measured numbers to
-``BENCH_batch_ingest.json`` at the repository root (the committed
-baseline the CI trajectory tracks).
+Measures the two ingestion paths of the batch pipeline -- the
+per-element ``insert`` loop and the vectorized ``insert_array`` -- for
+concise and counting samples, plus end-to-end ``DataWarehouse.load``
+vs ``load_batch`` with an engine synopsis attached.  Writes the
+measured numbers, with the CPU count, Python and NumPy versions and
+the commit they were taken on, to ``BENCH_batch_ingest.json`` at the
+repository root.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_batch_ingest.py``.
 """
@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
 
-from repro.core import ConciseSample, CountingSample, ShardedSynopsis
+from repro.core import ConciseSample, CountingSample
 from repro.engine import ApproximateAnswerEngine, DataWarehouse
 from repro.obs.clock import perf_counter
 from repro.streams import zipf_stream
@@ -32,13 +34,28 @@ N = 2_000 if SMOKE else 500_000
 DOMAIN = 200 if SMOKE else 50_000
 SKEW = 1.25
 FOOTPRINT = 64 if SMOKE else 1_000
-SHARDS = 4
 ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = (
     ROOT / "bench_out" / "BENCH_batch_ingest.json"
     if SMOKE
     else ROOT / "BENCH_batch_ingest.json"
 )
+
+
+def _commit() -> str:
+    """The checkout's commit (``-dirty`` with uncommitted changes)."""
+    try:
+        result = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return result.stdout.strip() if result.returncode == 0 else "unknown"
 
 
 def _timed(build, ingest, stream) -> dict:
@@ -68,15 +85,6 @@ def bench_core_sample(make, stream) -> dict:
             per_row["seconds"] / batch["seconds"], 2
         ),
     }
-
-
-def bench_sharded(factory, stream) -> dict:
-    sharded = _timed(
-        lambda: factory(SHARDS, FOOTPRINT, seed=4),
-        lambda s, values: s.insert_array(values),
-        stream,
-    )
-    return sharded
 
 
 def bench_warehouse(stream) -> dict:
@@ -127,7 +135,10 @@ def main() -> dict:
             "domain": DOMAIN,
             "zipf_skew": SKEW,
             "footprint_bound": FOOTPRINT,
-            "shards": SHARDS,
+            "cpu_cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "commit": _commit(),
         },
         "concise": bench_core_sample(
             lambda: ConciseSample(FOOTPRINT, seed=2), stream
@@ -137,12 +148,6 @@ def main() -> dict:
         ),
         "warehouse": bench_warehouse(stream),
     }
-    results["concise"]["sharded"] = bench_sharded(
-        ShardedSynopsis.concise, stream
-    )
-    results["counting"]["sharded"] = bench_sharded(
-        ShardedSynopsis.counting, stream
-    )
 
     RESULT_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")

@@ -11,10 +11,10 @@ batch) in two modes:
 
 Each mode takes the best of ``REPEATS`` runs (best-of defeats
 scheduler noise, which only ever slows a run down).  The JSON also
-compares the no-op numbers against the committed pre-PR baseline in
-``BENCH_batch_ingest.json`` (measured before the instrumentation
-existed) -- the acceptance bar is no-op throughput within 5% of that
-baseline.  Writes ``BENCH_obs_overhead.json`` at the repository root.
+compares the no-op numbers against the committed ingest baseline in
+``BENCH_batch_ingest.json`` (same configuration, recorded with no
+registry installed) -- the acceptance bar is no-op throughput within
+5% of that baseline.  Writes ``BENCH_obs_overhead.json`` at the repository root.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_obs_overhead.py``.
 """
@@ -86,10 +86,10 @@ def bench_paths(make, stream) -> dict:
 
 
 def compare_to_baseline(results: dict) -> dict:
-    """No-op throughput vs the committed pre-instrumentation numbers.
+    """No-op throughput vs the committed ``bench_batch_ingest`` numbers.
 
     Negative percentages mean the instrumented no-op path is *faster*
-    than the recorded pre-PR run.
+    than the recorded baseline run.
     """
     if not BASELINE_PATH.exists():
         return {"available": False}

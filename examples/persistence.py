@@ -1,28 +1,41 @@
 """Checkpoint and recovery of synopses (paper footnote 2).
 
 "For persistence and recovery, combinations of snapshots and/or logs
-can be stored on disk."  This example runs a warehouse load stream
-with an attached operation log, checkpoints the synopses mid-stream,
-simulates a crash, and recovers each synopsis as *snapshot + replay of
-the log suffix* -- then verifies the recovered hot list answers match
-a never-crashed run.
+can be stored on disk."  This example attaches a
+:class:`~repro.persist.RecoveryManager` to a warehouse, so every load
+batch is appended to a write-ahead log on disk.  It checkpoints the
+warehouse and its counting sample mid-stream, keeps loading, simulates
+a crash, and recovers the sample as *checkpoint + replay of the WAL
+suffix* -- then checks that the recovered hot list agrees with a
+never-crashed run.
 
 Run:  python examples/persistence.py
 """
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 from repro.core import CountingSample
-from repro.engine import DataWarehouse, OperationLog
-from repro.engine.snapshots import loads as load_snapshot
-from repro.engine.snapshots import dumps as dump_snapshot
+from repro.engine import ApproximateAnswerEngine, DataWarehouse
 from repro.hotlist import CountingHotList
+from repro.persist import CheckpointStore, RecoveryManager
 from repro.streams import zipf_stream
 
 N = 200_000
 DOMAIN = 5_000
 FOOTPRINT = 500
 CHECKPOINT_AT = 120_000
+BATCH = 10_000
+
+
+def load(warehouse: DataWarehouse, values) -> None:
+    """Load ``values`` in batches: one WAL record (and fsync) each."""
+    for start in range(0, len(values), BATCH):
+        warehouse.load_batch(
+            "events", {"value": values[start : start + BATCH]}
+        )
 
 
 def main() -> None:
@@ -34,43 +47,44 @@ def main() -> None:
     reference = CountingSample(FOOTPRINT, seed=1)
     reference.insert_array(stream)
 
-    # ------------------------------------------------------------------
-    # Crash-recovery run: warehouse + operation log + checkpoint.
-    # ------------------------------------------------------------------
-    warehouse = DataWarehouse()
-    warehouse.create_relation("events", ["value"])
-    log = OperationLog()
-    warehouse.add_observer(log.observe)
-    live = CountingSample(FOOTPRINT, seed=1)
-    warehouse.add_observer(
-        lambda name, row, is_insert: live.insert(int(row[0]))
-    )
+    with tempfile.TemporaryDirectory(prefix="repro-persistence-") as root:
+        # --------------------------------------------------------------
+        # Crash-recovery run: warehouse + durable WAL + checkpoint.
+        # --------------------------------------------------------------
+        store = CheckpointStore(Path(root))
+        manager = RecoveryManager(store)
+        warehouse = DataWarehouse()
+        warehouse.create_relation("events", ["value"])
+        engine = ApproximateAnswerEngine(warehouse)
+        live = CountingSample(FOOTPRINT, seed=1)
+        engine.register_sample("events", "value", live)
+        manager.attach(warehouse)
+        manager.bind("events", "value", live)
 
-    for value in stream[:CHECKPOINT_AT].tolist():
-        warehouse.insert("events", (value,))
-    checkpoint_sequence = log.next_sequence
-    checkpoint_payload = dump_snapshot(live)
-    print(
-        f"checkpoint at {checkpoint_sequence:,} events: snapshot is "
-        f"{len(checkpoint_payload):,} bytes "
-        f"(footprint {live.footprint} words, threshold "
-        f"{live.threshold:,.0f})"
-    )
-    # Old log entries can be garbage-collected after the checkpoint.
-    dropped = log.truncate_before(checkpoint_sequence)
-    print(f"log truncated: {dropped:,} pre-checkpoint entries dropped")
+        load(warehouse, stream[:CHECKPOINT_AT])
+        checkpoint_sequence = manager.checkpoint()
+        print(
+            f"checkpoint at {checkpoint_sequence:,} events "
+            f"(footprint {live.footprint} words, threshold "
+            f"{live.threshold:,.0f}); the WAL before it is truncated"
+        )
 
-    # Keep loading, then crash (the in-memory synopsis vanishes).
-    for value in stream[CHECKPOINT_AT:].tolist():
-        warehouse.insert("events", (value,))
-    del live
-    print(f"crash after {log.next_sequence:,} events; "
-          f"{len(log):,} entries in the log suffix")
+        # Keep loading, then crash.  With the default sync_every=1
+        # every acknowledged batch is already on disk, so dropping the
+        # in-memory state loses nothing the WAL does not hold.
+        load(warehouse, stream[CHECKPOINT_AT:])
+        print(f"crash after {manager.sequence:,} events")
+        manager.detach()
+        del warehouse, engine, live, manager
 
-    # Recovery: restore the snapshot, replay the suffix.
-    recovered = load_snapshot(checkpoint_payload, seed=2)
-    applied = log.replay_since(checkpoint_sequence, "events", 0, recovered)
-    print(f"recovered: replayed {applied:,} logged events\n")
+        # Recovery: load the checkpoint, replay the WAL suffix.
+        state = RecoveryManager(CheckpointStore(Path(root))).recover(seed=2)
+        recovered = state.synopsis("events", "value")
+        print(
+            f"recovered: checkpoint {state.checkpoint_sequence:,} + "
+            f"{state.replayed:,} replayed events = "
+            f"{state.warehouse.relation('events').size:,} rows\n"
+        )
 
     # ------------------------------------------------------------------
     # Verification.  Recovery is *statistically* equivalent, not

@@ -26,7 +26,6 @@ from __future__ import annotations
 from repro.analysis.findings import Finding, sarif_report
 from repro.analysis.module import SourceModule
 from repro.analysis.project import (
-    AnalysisCache,
     ModuleSummary,
     ProjectModel,
     summarize_module,
@@ -37,7 +36,6 @@ from repro.analysis.runner import analyze_paths, analyze_source, default_root
 __all__ = [
     "ALL_PROJECT_RULES",
     "ALL_RULES",
-    "AnalysisCache",
     "Finding",
     "ModuleSummary",
     "ProjectModel",

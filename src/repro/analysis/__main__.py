@@ -3,8 +3,7 @@
 Exit status 0 means zero findings; 1 means findings were reported;
 2 means usage error.  ``--json`` emits a machine-readable report for
 CI annotation tooling; ``--sarif`` emits SARIF 2.1.0 for GitHub code
-scanning; ``--cache`` names a content-hash cache file so incremental
-runs skip re-parsing unchanged files.
+scanning.
 """
 
 from __future__ import annotations
@@ -58,16 +57,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "JSON content-hash cache file; unchanged files skip "
-            "parsing and per-file rules on later runs"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -94,11 +83,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: no such path: {path}", file=sys.stderr)
         return 2
 
-    findings = analyze_paths(
-        options.paths,
-        root=options.root,
-        cache_path=options.cache,
-    )
+    findings = analyze_paths(options.paths, root=options.root)
     if options.json:
         print(
             json.dumps(

@@ -20,17 +20,13 @@ This module builds a :class:`ProjectModel` over every collected file:
   re-exports and aliased imports (with cycle guards) so base classes
   resolve across modules.
 
-Every summary is JSON-serialisable, which is what makes the
-content-hash :class:`AnalysisCache` work: an unchanged file is never
-re-parsed -- its cached summary still participates in the project
-pass, so incremental runs stay whole-program sound.
+Summaries are rebuilt from source on every run: a full pass over the
+repository parses each file once and takes a few seconds.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +41,6 @@ from repro.analysis.snapshot_fields import (
 )
 
 __all__ = [
-    "AnalysisCache",
     "ClassSummary",
     "ImportBinding",
     "MethodSummary",
@@ -53,7 +48,6 @@ __all__ = [
     "ModuleSummary",
     "ProjectModel",
     "ReproLiteral",
-    "content_hash",
     "summarize_module",
 ]
 
@@ -105,11 +99,6 @@ ATTRLESS_EXTERNAL_BASES = frozenset(
 _REPRO_LITERAL = re.compile(r"repro_[A-Za-z0-9_]+")
 
 
-def content_hash(source: str) -> str:
-    """The cache key for one file's content."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # Summary records
 # ----------------------------------------------------------------------
@@ -129,23 +118,6 @@ class ImportBinding:
     bound: str
     level: int = 0
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "name": self.name,
-            "bound": self.bound,
-            "level": self.level,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ImportBinding":
-        return cls(
-            module=payload["module"],
-            name=payload["name"],
-            bound=payload["bound"],
-            level=int(payload.get("level", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class MetricCall:
@@ -157,25 +129,6 @@ class MetricCall:
     line: int
     column: int
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "is_fstring": self.is_fstring,
-            "line": self.line,
-            "column": self.column,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "MetricCall":
-        return cls(
-            kind=payload["kind"],
-            name=payload["name"],
-            is_fstring=bool(payload["is_fstring"]),
-            line=int(payload["line"]),
-            column=int(payload["column"]),
-        )
-
 
 @dataclass(frozen=True)
 class ReproLiteral:
@@ -184,17 +137,6 @@ class ReproLiteral:
     value: str
     line: int
     column: int
-
-    def to_json(self) -> dict[str, Any]:
-        return {"value": self.value, "line": self.line, "column": self.column}
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ReproLiteral":
-        return cls(
-            value=payload["value"],
-            line=int(payload["line"]),
-            column=int(payload["column"]),
-        )
 
 
 @dataclass
@@ -215,39 +157,6 @@ class MethodSummary:
     optional: list[str] | None = None
     has_payload_parameter: bool = True
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "column": self.column,
-            "kind": self.kind,
-            "reads": sorted(self.reads),
-            "writes": dict(sorted(self.writes.items())),
-            "calls": sorted(self.calls),
-            "emitted": self.emitted,
-            "required": self.required,
-            "optional": self.optional,
-            "has_payload_parameter": self.has_payload_parameter,
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "MethodSummary":
-        return cls(
-            name=payload["name"],
-            line=int(payload["line"]),
-            column=int(payload["column"]),
-            kind=payload["kind"],
-            reads=set(payload["reads"]),
-            writes={k: int(v) for k, v in payload["writes"].items()},
-            calls=set(payload["calls"]),
-            emitted=payload["emitted"],
-            required=payload["required"],
-            optional=payload["optional"],
-            has_payload_parameter=bool(
-                payload.get("has_payload_parameter", True)
-            ),
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -262,37 +171,6 @@ class ClassSummary:
     snapshot_kind: str | None = None
     methods: dict[str, MethodSummary] = field(default_factory=dict)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "column": self.column,
-            "bases": list(self.bases),
-            "decorators": list(self.decorators),
-            "class_assigns": sorted(self.class_assigns),
-            "snapshot_kind": self.snapshot_kind,
-            "methods": {
-                name: method.to_json()
-                for name, method in self.methods.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ClassSummary":
-        return cls(
-            name=payload["name"],
-            line=int(payload["line"]),
-            column=int(payload["column"]),
-            bases=list(payload["bases"]),
-            decorators=list(payload["decorators"]),
-            class_assigns=set(payload["class_assigns"]),
-            snapshot_kind=payload["snapshot_kind"],
-            methods={
-                name: MethodSummary.from_json(method)
-                for name, method in payload["methods"].items()
-            },
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -300,7 +178,6 @@ class ModuleSummary:
 
     path: str
     parts: tuple[str, ...]
-    sha256: str
     imports: list[ImportBinding] = field(default_factory=list)
     classes: list[ClassSummary] = field(default_factory=list)
     metric_calls: list[MetricCall] = field(default_factory=list)
@@ -329,48 +206,6 @@ class ModuleSummary:
 
     def is_suppressed(self, line: int, rule: str) -> bool:
         return rule in self.suppressions.get(line, frozenset())
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "parts": list(self.parts),
-            "sha256": self.sha256,
-            "imports": [imp.to_json() for imp in self.imports],
-            "classes": [cls.to_json() for cls in self.classes],
-            "metric_calls": [call.to_json() for call in self.metric_calls],
-            "literals": [lit.to_json() for lit in self.repro_literals],
-            "suppressions": {
-                str(line): sorted(codes)
-                for line, codes in self.suppressions.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=payload["path"],
-            parts=tuple(payload["parts"]),
-            sha256=payload["sha256"],
-            imports=[
-                ImportBinding.from_json(imp) for imp in payload["imports"]
-            ],
-            classes=[
-                ClassSummary.from_json(entry)
-                for entry in payload["classes"]
-            ],
-            metric_calls=[
-                MetricCall.from_json(call)
-                for call in payload["metric_calls"]
-            ],
-            repro_literals=[
-                ReproLiteral.from_json(lit)
-                for lit in payload["literals"]
-            ],
-            suppressions={
-                int(line): frozenset(codes)
-                for line, codes in payload["suppressions"].items()
-            },
-        )
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +448,6 @@ def summarize_module(module: SourceModule) -> ModuleSummary:
     summary = ModuleSummary(
         path=str(module.path),
         parts=module.parts,
-        sha256=content_hash(module.source),
         suppressions=dict(module.suppressions),
     )
     for node in ast.walk(module.tree):
@@ -949,88 +783,6 @@ class ProjectModel:
                 if callee not in visited and callee not in exclude:
                     stack.append(callee)
         return gathered
-
-
-# ----------------------------------------------------------------------
-# The content-hash cache
-# ----------------------------------------------------------------------
-
-
-class AnalysisCache:
-    """Per-file findings + summaries keyed by content hash.
-
-    The cache makes incremental runs cheap without losing whole-program
-    soundness: a hash hit skips parsing and per-file rules, but the
-    cached :class:`ModuleSummary` still joins the project model, so
-    cross-module rules always see the full tree.  Project-rule findings
-    are deliberately *not* cached -- they depend on every other module
-    and are cheap to recompute from summaries.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-        self._entries: dict[str, dict[str, Any]] = {}
-        self._dirty = False
-        try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
-            if payload.get("version") == self.VERSION:
-                self._entries = payload.get("files", {})
-        except (OSError, ValueError):
-            self._entries = {}
-
-    def lookup(
-        self, path: str, digest: str
-    ) -> tuple[list[Finding], ModuleSummary | None] | None:
-        """Cached (findings, summary) for an unchanged file, else None."""
-        entry = self._entries.get(path)
-        if entry is None or entry.get("sha256") != digest:
-            return None
-        try:
-            findings = [
-                Finding(**finding) for finding in entry["findings"]
-            ]
-            summary_payload = entry["summary"]
-            summary = (
-                ModuleSummary.from_json(summary_payload)
-                if summary_payload is not None
-                else None
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-        return findings, summary
-
-    def store(
-        self,
-        path: str,
-        digest: str,
-        findings: Sequence[Finding],
-        summary: ModuleSummary | None,
-    ) -> None:
-        self._entries[path] = {
-            "sha256": digest,
-            "findings": [finding.to_json() for finding in findings],
-            "summary": summary.to_json() if summary is not None else None,
-        }
-        self._dirty = True
-
-    def prune(self, live_paths: set[str]) -> None:
-        """Drop entries for files no longer part of the scan."""
-        stale = set(self._entries) - live_paths
-        for path in stale:
-            del self._entries[path]
-            self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        payload = {"version": self.VERSION, "files": self._entries}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
-        self._dirty = False
 
 
 def iter_project_findings(

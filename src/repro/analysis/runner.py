@@ -1,12 +1,10 @@
 """Collect files, run both rule passes, filter suppressions.
 
-The analysis is two-pass.  Pass one parses each file and runs the
-per-file rules; it also extracts a JSON-able :class:`ModuleSummary`
-and (optionally) caches both keyed by content hash, so unchanged files
-are never re-parsed on incremental runs.  Pass two assembles every
-summary -- cached or fresh -- into a :class:`ProjectModel` and runs
-the cross-module rules over it.  Project findings are therefore always
-computed over the *whole* tree even when most files hit the cache.
+The analysis is two-pass.  Pass one parses each file, runs the
+per-file rules and extracts a :class:`ModuleSummary`.  Pass two
+assembles every summary into a :class:`ProjectModel` and runs the
+cross-module rules over it, so project findings are always computed
+over the *whole* tree.
 """
 
 from __future__ import annotations
@@ -17,10 +15,8 @@ from typing import Iterable, Sequence
 from repro.analysis.findings import Finding
 from repro.analysis.module import SourceModule
 from repro.analysis.project import (
-    AnalysisCache,
     ModuleSummary,
     ProjectModel,
-    content_hash,
     summarize_module,
 )
 from repro.analysis.rules import ALL_PROJECT_RULES, ALL_RULES
@@ -108,15 +104,12 @@ def analyze_paths(
     *,
     root: Path | None = None,
     project_rules: Iterable[ProjectRule] | None = None,
-    cache_path: Path | None = None,
 ) -> list[Finding]:
     """Analyze every ``.py`` file under ``paths``, both passes.
 
     Unparseable files produce an ``RL000`` finding rather than
     aborting the run, so one syntax error does not hide the rest of
-    the report.  ``root`` defaults to the common parent of ``paths``;
-    ``cache_path`` names a JSON content-hash cache that lets
-    incremental runs skip parsing unchanged files.
+    the report.  ``root`` defaults to the common parent of ``paths``.
     """
     rule_list = list(rules) if rules is not None else list(ALL_RULES)
     project_rule_list = (
@@ -126,12 +119,10 @@ def analyze_paths(
     )
     if root is None:
         root = default_root(paths)
-    cache = AnalysisCache(cache_path) if cache_path is not None else None
 
     findings: set[Finding] = set()
     summaries: list[ModuleSummary] = []
-    files = collect_files(paths)
-    for path in files:
+    for path in collect_files(paths):
         try:
             source = path.read_text(encoding="utf-8")
         except OSError as error:
@@ -145,32 +136,16 @@ def analyze_paths(
                 )
             )
             continue
-        digest = content_hash(source)
-        if cache is not None:
-            cached = cache.lookup(str(path), digest)
-            if cached is not None:
-                cached_findings, cached_summary = cached
-                findings.update(cached_findings)
-                if cached_summary is not None:
-                    summaries.append(cached_summary)
-                continue
         try:
             module = SourceModule(path, source, root)
         except SyntaxError as error:
-            error_finding = _syntax_error_finding(path, error)
-            findings.add(error_finding)
-            if cache is not None:
-                cache.store(str(path), digest, [error_finding], None)
+            findings.add(_syntax_error_finding(path, error))
             continue
-        file_findings = analyze_source(module, rule_list)
-        findings.update(file_findings)
-        summary = summarize_module(module)
-        summaries.append(summary)
-        if cache is not None:
-            cache.store(str(path), digest, file_findings, summary)
+        findings.update(analyze_source(module, rule_list))
+        summaries.append(summarize_module(module))
 
-    # Pass two: project rules over the full model (cached summaries
-    # included), suppression-filtered through the summary tables.
+    # Pass two: project rules over the full model, suppression-filtered
+    # through the summary tables.
     model = ProjectModel(summaries, root=root)
     by_path = {summary.path: summary for summary in summaries}
     for rule in project_rule_list:
@@ -181,8 +156,4 @@ def analyze_paths(
             ):
                 continue
             findings.add(finding)
-
-    if cache is not None:
-        cache.prune({str(path) for path in files})
-        cache.save()
     return sorted(findings)

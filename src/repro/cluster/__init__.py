@@ -1,15 +1,13 @@
 """Multi-process sharded warehouse (scatter/gather over framed IPC).
 
-The paper's Theorem-2/5 subsample merges make concise and counting
-synopses losslessly mergeable, which the repo already exploits inside
-one process (:mod:`repro.core.sharded`).  This package takes the same
-BlinkDB-style shape across *processes*: ``k`` warehouse shards, each a
-worker process owning its own WAL/checkpoint directory through the
-existing :mod:`repro.persist` stack, coordinated by a
+The paper's Theorem-2/5 subsample merges (:mod:`repro.core.merge`)
+make concise and counting synopses losslessly mergeable.  This package
+runs the BlinkDB-style shape across *processes*: ``k`` warehouse
+shards, each a worker process owning its own WAL/checkpoint directory
+through the existing :mod:`repro.persist` stack, coordinated by a
 :class:`~repro.cluster.coordinator.ShardedWarehouse` front that
 scatters value-hash-partitioned ingest batches, gathers per-shard
-synopsis answers, and merges them -- true multi-core scaling instead
-of GIL-limited threads.
+synopsis answers, and merges them.
 
 Failover is part of the contract: the coordinator detects a dead
 shard, respawns it (the worker replays its own WAL via

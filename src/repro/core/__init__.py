@@ -23,7 +23,6 @@ from repro.core.footprint import bit_footprint, word_footprint
 from repro.core.merge import merge_concise, merge_counting
 from repro.core.offline import offline_concise_sample
 from repro.core.reservoir import ReservoirSample
-from repro.core.sharded import ShardedSynopsis
 from repro.core.thresholds import (
     BinarySearchRaise,
     MultiplicativeRaise,
@@ -38,7 +37,6 @@ __all__ = [
     "CountingSample",
     "MultiplicativeRaise",
     "ReservoirSample",
-    "ShardedSynopsis",
     "SingletonBoundRaise",
     "StreamSynopsis",
     "SynopsisError",

@@ -43,7 +43,6 @@ from repro.engine.queries import (
     SelectivityQuery,
     SumQuery,
 )
-from repro.engine.oplog import LoggedBatch, LoggedOperation, OperationLog
 from repro.engine.registry import BudgetExceeded, SynopsisRegistry
 from repro.engine.relation import Relation
 from repro.engine.responses import QueryResponse
@@ -61,10 +60,7 @@ __all__ = [
     "FrequencyQuery",
     "HotListQuery",
     "JoinSizeQuery",
-    "LoggedBatch",
-    "LoggedOperation",
     "NoSynopsisError",
-    "OperationLog",
     "PinnedEngineView",
     "PolicyDecision",
     "Query",

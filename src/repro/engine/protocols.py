@@ -4,16 +4,16 @@ The engine is deliberately duck-typed -- any synopsis with the right
 maintenance and estimation surface can be registered (Section 1's "a
 large number of synopses may be needed").  These :class:`~typing.Protocol`
 classes make that surface explicit and checkable: the registration
-methods on :class:`~repro.engine.engine.SynopsisEngine` and the oplog
-replay accept these interfaces, so mypy verifies a new synopsis class
-fits before it is ever registered.
+methods on :class:`~repro.engine.engine.SynopsisEngine` accept these
+interfaces, so mypy verifies a new synopsis class fits before it is
+ever registered.
 """
 
 from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-__all__ = ["DistinctSketch", "Histogram", "ReplayTarget"]
+__all__ = ["DistinctSketch", "Histogram"]
 
 
 @runtime_checkable
@@ -48,16 +48,3 @@ class Histogram(Protocol):
     def estimate_range(self, low: float, high: float) -> float: ...
 
     def estimate_equality(self, value: float) -> float: ...
-
-
-@runtime_checkable
-class ReplayTarget(Protocol):
-    """A synopsis an operation log can replay into (footnote 2 recovery).
-
-    Replay feeds both inserts and deletes, so only delete-capable
-    synopses qualify (counting samples; Theorem 5).
-    """
-
-    def insert(self, value: int) -> None: ...
-
-    def delete(self, value: int) -> None: ...

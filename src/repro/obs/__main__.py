@@ -1,23 +1,16 @@
-"""``python -m repro.obs``: dump, tail, selftest, or health-report.
+"""``python -m repro.obs``: selftest, or render a health report.
 
-Runs an example warehouse workload (zipf-skewed sales stream feeding
-concise/counting/reservoir synopses through the engine, with traced,
-cached, and calibration-audited queries) under full instrumentation,
-then renders the registry:
-
-* default / ``--format prometheus|json``: one dump after the workload
-* ``--tail N``: ingest in ``N`` rounds, rendering after each round
-* ``--selftest``: assert the Prometheus round-trip (parsed gauge
-  values must equal ``sample_size`` / ``footprint`` / ``CostCounters``
-  read directly from the synopses), the audit metric registrations,
-  and the trace-sink JSONL round-trip -- and exit 0/1.
-* ``report``: render the plain-text ops health report, either from
-  ``--metrics``/``--trace`` files exported elsewhere or from a fresh
-  demo workload when neither is given; ``--serving`` additionally
-  drives a loopback :class:`~repro.serving.server.AQPServer` so the
-  serving section has data, and ``--cluster`` a two-shard
-  :class:`~repro.cluster.ShardedWarehouse` (one failover included)
-  so the cluster section has data.
+* ``--selftest``: run an example warehouse workload (zipf-skewed sales
+  stream feeding concise/counting/reservoir synopses through the
+  engine, with traced, cached, and calibration-audited queries) under
+  full instrumentation, then assert the Prometheus round-trip (parsed
+  gauge values must equal ``sample_size`` / ``footprint`` /
+  ``CostCounters`` read directly from the synopses), the audit metric
+  registrations, and the trace-sink JSONL round-trip -- and exit 0/1.
+* ``report --metrics FILE.json --trace FILE.jsonl``: render the
+  plain-text ops health report from a registry snapshot
+  (``render_json`` output) and/or a drained trace file exported
+  elsewhere.
 """
 
 from __future__ import annotations
@@ -72,7 +65,6 @@ def build_workload(
     warehouse.add_observer(loader)
     tracer = obs.QueryTracer(registry)
     engine.tracer = tracer
-    sink = obs.TraceSink(capacity=256, registry=registry)
 
     return {
         "warehouse": warehouse,
@@ -80,8 +72,6 @@ def build_workload(
         "tracer": tracer,
         "loader": loader,
         "auditor": auditor,
-        "cache": cache,
-        "sink": sink,
         "reservoir": reservoir,
         "synopses": {
             "sales.item": concise,
@@ -113,108 +103,6 @@ def ingest_round(
     engine.answer(
         CountQuery("sales", "store", Predicate(high=10)), exact=True
     )
-
-
-def serving_round(
-    registry: MetricsRegistry, rows: int, seed: int
-) -> None:
-    """Serve a small workload over a real socket.
-
-    Spins an :class:`~repro.serving.server.AQPServer` on a loopback
-    port against its own warehouse, drives one client through
-    hello/ingest/snapshot/query/bye (including one failing query so an
-    error outcome registers), and shuts down -- populating every
-    ``repro_server_*`` series on ``registry`` for the report's serving
-    section.
-    """
-    import asyncio
-
-    from repro.core import ConciseSample
-    from repro.engine import (
-        ApproximateAnswerEngine,
-        CountQuery,
-        DataWarehouse,
-        HotListQuery,
-    )
-    from repro.estimators import Predicate
-    from repro.hotlist import CountingHotList
-    from repro.serving import AQPClient, AQPServer, ServerError
-    from repro.streams import zipf_stream
-
-    async def run() -> None:
-        warehouse = DataWarehouse()
-        warehouse.create_relation("sales", ["item"])
-        engine = ApproximateAnswerEngine(warehouse)
-        engine.register_sample(
-            "sales", "item", ConciseSample(500, seed=seed + 1)
-        )
-        engine.register_hotlist(
-            "sales",
-            "item",
-            CountingHotList(footprint_bound=200, seed=seed + 2),
-        )
-        server = AQPServer(warehouse, engine, registry=registry)
-        host, port = await server.start()
-        try:
-            client = await AQPClient.connect(host, port)
-            await client.hello()
-            items = zipf_stream(rows, 1_000, 1.25, seed=seed + 3)
-            await client.ingest(
-                "sales", {"item": [int(value) for value in items]}
-            )
-            await client.snapshot()
-            await client.query(
-                CountQuery("sales", "item", Predicate(high=100))
-            )
-            await client.query(HotListQuery("sales", "item", k=5))
-            await client.query(CountQuery("sales", "item"), mode="live")
-            try:
-                await client.query(CountQuery("sales", "store"))
-            except ServerError:
-                pass
-            await client.bye()
-        finally:
-            await server.shutdown()
-
-    asyncio.run(run())
-
-
-def cluster_round(
-    registry: MetricsRegistry, rows: int, seed: int
-) -> None:
-    """Drive a small sharded-warehouse round, failover included.
-
-    Boots a two-shard :class:`~repro.cluster.ShardedWarehouse` over a
-    throwaway directory, scatters a zipf batch, answers routed and
-    scattered queries, then kills one worker and answers degraded
-    before letting the coordinator restart it -- populating every
-    ``repro_cluster_*`` series on ``registry`` for the report's
-    cluster section.
-    """
-    from repro.cluster import ShardedWarehouse
-    from repro.engine import CountQuery, FrequencyQuery, HotListQuery
-    from repro.streams import zipf_stream
-
-    directory = tempfile.mkdtemp(prefix="repro-obs-cluster-")
-    try:
-        with ShardedWarehouse(
-            2, directory, seed=seed, registry=registry
-        ) as cluster:
-            cluster.create_relation("sales", ["item"])
-            cluster.register_synopsis(
-                "sales", "item", footprint_bound=400, hotlist=True
-            )
-            items = zipf_stream(rows, 1_000, 1.25, seed=seed + 1)
-            cluster.load_batch("sales", {"item": items})
-            cluster.answer(FrequencyQuery("sales", "item", value=1))
-            cluster.answer(CountQuery("sales", "item"))
-            cluster.answer(HotListQuery("sales", "item", k=5))
-            cluster.kill_shard(0)
-            cluster.answer(CountQuery("sales", "item"))
-            cluster.wait_until_healthy(timeout=30.0)
-            cluster.answer(CountQuery("sales", "item"))
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
 
 
 def selftest(rows: int, seed: int) -> int:
@@ -344,36 +232,12 @@ def selftest(rows: int, seed: int) -> int:
         obs.disable()
 
 
-def dump(fmt: str, rows: int, seed: int, rounds: int) -> int:
-    """Run the workload and print the registry ``rounds`` times."""
-    registry = obs.enable()
-    try:
-        workload = build_workload(registry, seed)
-        per_round = max(1, rows // rounds)
-        for round_index in range(rounds):
-            ingest_round(workload, per_round, seed + 10 * round_index)
-            if rounds > 1:
-                print(f"--- round {round_index + 1}/{rounds} ---")
-            if fmt == "json":
-                payload = obs.render_json(registry)
-                payload["spans"] = [
-                    span.to_dict() for span in workload["tracer"].spans()
-                ]
-                print(json.dumps(payload, indent=2))
-            else:
-                print(obs.render_prometheus(registry), end="")
-        return 0
-    finally:
-        obs.disable()
-
-
 def report_command(argv: list[str]) -> int:
     """``python -m repro.obs report``: render the ops health report."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs report",
         description="Render the plain-text ops health report from a "
-        "JSON registry snapshot and/or a drained JSONL trace file; "
-        "with neither, run a fresh demo workload.",
+        "JSON registry snapshot and/or a drained JSONL trace file.",
     )
     parser.add_argument(
         "--metrics",
@@ -385,29 +249,9 @@ def report_command(argv: list[str]) -> int:
         metavar="FILE.jsonl",
         help="drained trace file (TraceSink output) to report over",
     )
-    parser.add_argument(
-        "--rows",
-        type=int,
-        default=100_000,
-        help="demo workload rows when no files are given",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="demo workload seed"
-    )
-    parser.add_argument(
-        "--serving",
-        action="store_true",
-        help="also run a loopback AQPServer workload so the serving "
-        "section has data (demo mode only)",
-    )
-    parser.add_argument(
-        "--cluster",
-        action="store_true",
-        help="also run a two-shard ShardedWarehouse workload (one "
-        "failover included) so the cluster section has data (demo "
-        "mode only)",
-    )
     args = parser.parse_args(argv)
+    if not args.metrics and not args.trace:
+        parser.error("give --metrics and/or --trace")
 
     metrics: dict[str, Any] | None = None
     traces: list[dict[str, Any]] | None = None
@@ -419,25 +263,6 @@ def report_command(argv: list[str]) -> int:
         )
     if args.trace:
         traces = obs.read_trace_file(args.trace)
-    if metrics is None and traces is None:
-        registry = obs.enable()
-        try:
-            workload = build_workload(registry, args.seed)
-            ingest_round(workload, args.rows, args.seed + 10)
-            if args.serving:
-                serving_round(
-                    registry, max(100, args.rows // 10), args.seed + 20
-                )
-            if args.cluster:
-                cluster_round(
-                    registry, max(100, args.rows // 10), args.seed + 30
-                )
-            sink = workload["sink"]
-            sink.drain(workload["tracer"])
-            metrics = obs.render_json(registry)
-            traces = list(sink.records())
-        finally:
-            obs.disable()
     print(obs.render_health_report(metrics, traces))
     return 0
 
@@ -450,40 +275,27 @@ def main(argv: list[str] | None = None) -> int:
         return report_command(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Dump, tail, or selftest the observability layer "
-        "over an example workload.",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("prometheus", "json"),
-        default="prometheus",
-        help="exposition format for dumps (default: prometheus)",
-    )
-    parser.add_argument(
-        "--rows",
-        type=int,
-        default=100_000,
-        help="total workload rows (default: 100000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload seed (default: 7)"
-    )
-    parser.add_argument(
-        "--tail",
-        type=int,
-        default=1,
-        metavar="N",
-        help="ingest in N rounds, rendering the registry after each",
+        description="Selftest the observability layer over an example "
+        "workload; 'report' renders a health report from files.",
     )
     parser.add_argument(
         "--selftest",
         action="store_true",
         help="assert the exposition round-trip and exit 0/1",
     )
+    parser.add_argument(
+        "--rows",
+        type=int,
+        default=100_000,
+        help="selftest workload rows (default: 100000)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=7, help="workload seed (default: 7)"
+    )
     args = parser.parse_args(argv)
-    if args.selftest:
-        return selftest(args.rows, args.seed)
-    return dump(args.format, args.rows, args.seed, max(1, args.tail))
+    if not args.selftest:
+        parser.error("give --selftest, or use: report --metrics/--trace")
+    return selftest(args.rows, args.seed)
 
 
 if __name__ == "__main__":

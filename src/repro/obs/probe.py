@@ -54,8 +54,6 @@ class MetricsProbe:
         self._merges: dict[str, Counter] = {}
         self._merged_shards: dict[str, Counter] = {}
         self._snapshot_ops: dict[tuple[str, str], Counter] = {}
-        self._shard_batches: dict[str, Counter] = {}
-        self._shard_rows: dict[str, Counter] = {}
 
     # -- events ---------------------------------------------------------
 
@@ -133,23 +131,6 @@ class MetricsProbe:
             )
         self._merges[kind].inc()
         self._merged_shards[kind].inc(shards)
-
-    def on_shard_ingest(self, kind: str, shards: int, rows: int) -> None:
-        """A batch of ``rows`` was partitioned across ``shards`` shards."""
-        if kind not in self._shard_batches:
-            labels = {"kind": kind}
-            self._shard_batches[kind] = self._registry.counter(
-                "repro_sharded_ingest_batches_total",
-                "Batches partitioned across shard synopses",
-                labels,
-            )
-            self._shard_rows[kind] = self._registry.counter(
-                "repro_sharded_ingest_rows_total",
-                "Rows partitioned across shard synopses",
-                labels,
-            )
-        self._shard_batches[kind].inc()
-        self._shard_rows[kind].inc(rows)
 
     def on_snapshot(self, kind: str, op: str) -> None:
         """A synopsis of ``kind`` was dumped/restored (``op``)."""

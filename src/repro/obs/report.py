@@ -479,7 +479,6 @@ _KNOWN_SERIES_PREFIXES = (
     "repro_query_",
     "repro_recovery_",
     "repro_server_",
-    "repro_sharded_",
     "repro_synopsis_",
     "repro_trace_",
     "repro_wal_",

@@ -14,7 +14,8 @@ row loop.
 Column kinds:
 
 * ``"int"`` -- any integer dtype; decoded as ``int64`` (the dtype
-  every in-tree batch path normalises to).
+  every in-tree batch path normalises to).  Values that are not
+  integers (floats, strings, booleans) are rejected, not coerced.
 * ``"float"`` -- floating dtypes; decoded as ``float64``.
 * ``"mixed"`` -- anything else, stored via ``tolist()`` and decoded as
   an object array, preserving the native Python values per-row
@@ -62,9 +63,9 @@ def decode_columns(
 ) -> dict[str, np.ndarray]:
     """Rebuild :func:`encode_columns` output as numpy arrays.
 
-    Raises ``ValueError`` for unknown column kinds or ragged lengths --
-    the caller (WAL read-back or oplog import) wraps that in its typed
-    error.
+    Raises ``ValueError`` for unknown column kinds, ragged lengths or
+    an ``"int"`` column holding non-integers -- the caller (WAL
+    read-back or the ingest decoder) wraps that in its typed error.
     """
     decoded: dict[str, np.ndarray] = {}
     length: int | None = None
@@ -74,7 +75,15 @@ def decode_columns(
         if not isinstance(values, list):
             raise ValueError(f"column {name!r} carries no value list")
         if kind == "int":
-            array = np.asarray(values, dtype=np.int64)
+            # Infer first, then cast: a dtype=int64 conversion would
+            # silently truncate 1.5, parse "3" and turn True into 1.
+            array = np.asarray(values)
+            if array.ndim != 1 or (len(array) and array.dtype.kind != "i"):
+                raise ValueError(
+                    f"column {name!r} is tagged int but is not a flat "
+                    "list of integers"
+                )
+            array = array.astype(np.int64, copy=False)
         elif kind == "float":
             array = np.asarray(values, dtype=np.float64)
         elif kind == "mixed":

@@ -36,7 +36,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.engine.oplog import OperationLog
 from repro.engine.relation import Relation
 from repro.engine.snapshots import (
     Snapshotable,
@@ -141,10 +140,6 @@ class RecoveryManager:
     tracer:
         Recovery-path observability; defaults to a tracer on the
         process-wide registry (a no-op unless obs was enabled).
-    oplog:
-        Optional in-memory :class:`~repro.engine.oplog.OperationLog`
-        mirror, kept in step with the durable WAL (handy for
-        in-process replay and the Theorem 5 tooling).
     """
 
     def __init__(
@@ -152,11 +147,9 @@ class RecoveryManager:
         store: CheckpointStore,
         *,
         tracer: RecoveryTracer | None = None,
-        oplog: OperationLog | None = None,
     ) -> None:
         self._store = store
         self._tracer = tracer if tracer is not None else RecoveryTracer()
-        self._oplog = oplog
         self._warehouse: DataWarehouse | None = None
         self._tap = _WarehouseTap(self)
         self._bindings: list[SynopsisBinding] = []
@@ -283,8 +276,6 @@ class RecoveryManager:
             }
         )
         self._sequence = sequence
-        if self._oplog is not None:
-            self._oplog.observe(relation, row, is_insert)
 
     def _observe_batch(
         self, relation: str, columns: Mapping[str, np.ndarray]
@@ -326,8 +317,6 @@ class RecoveryManager:
         if not described:
             self._segment_relations.add(relation)
         self._sequence = last
-        if self._oplog is not None:
-            self._oplog.observe_batch(relation, columns)
 
     def bind(
         self,
@@ -386,8 +375,6 @@ class RecoveryManager:
             self._store.wal.truncate_through(sequence)
             self._store.prune_checkpoints(keep=keep)
             self._store.remove_temporaries()
-            if self._oplog is not None:
-                self._oplog.truncate_before(sequence)
         except Exception as error:
             self._tracer.record_checkpoint(
                 started, sequence=sequence, outcome=type(error).__name__

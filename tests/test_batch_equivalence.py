@@ -18,9 +18,10 @@ from scipy import stats
 from repro.core import (
     ConciseSample,
     CountingSample,
-    ShardedSynopsis,
     merge_concise,
+    merge_counting,
 )
+from repro.randkit.rng import spawn_seeds
 from repro.streams import zipf_stream
 
 # With pinned seeds the tests are deterministic; alpha only needs to
@@ -59,6 +60,17 @@ def _counting_trials(bound: int, bulk: bool, base_seed: int):
         totals.append(sample.total_count)
         hot_counts.append(sample.count_of(HOT_VALUE))
     return np.asarray(totals), np.asarray(hot_counts)
+
+
+def _partitioned_shards(kind, shards: int, seed: int):
+    """``shards`` samples fed contiguous splits of the stream, plus a
+    merge seed; every seed is spawned from ``seed``."""
+    seeds = spawn_seeds(seed, shards + 1)
+    built = [kind(BOUND, seed=s) for s in seeds[:shards]]
+    pieces = np.array_split(STREAM, shards)
+    for shard, piece in zip(built, pieces, strict=True):
+        shard.insert_array(piece)
+    return built, seeds[shards]
 
 
 class TestConciseBatchMatchesPerElement:
@@ -112,15 +124,15 @@ class TestShardedMergeMatchesSingleStream:
     def test_concise_merge_distribution(self, shards):
         merged_sizes, merged_hot = [], []
         for trial in range(TRIALS):
-            sharded = ShardedSynopsis.concise(
-                shards, BOUND, seed=7000 + trial, parallel=False
+            parts, merge_seed = _partitioned_shards(
+                ConciseSample, shards, 7000 + trial
             )
-            sharded.insert_array(STREAM)
-            merged = sharded.merged()
+            merged = merge_concise(parts, seed=merge_seed)
             merged.check_invariants()
             assert merged.threshold >= max(
-                shard.threshold for shard in sharded.shards
+                shard.threshold for shard in parts
             )
+            assert merged.total_inserted == len(STREAM)
             merged_sizes.append(merged.sample_size)
             merged_hot.append(merged.count_of(HOT_VALUE))
         single_sizes, single_hot = _concise_trials(BOUND, True, 8000)
@@ -129,24 +141,11 @@ class TestShardedMergeMatchesSingleStream:
         )
         assert stats.ks_2samp(merged_hot, single_hot).pvalue > ALPHA
 
-    def test_parallel_ingest_matches_serial_setup(self):
-        parallel = ShardedSynopsis.concise(4, BOUND, seed=31)
-        parallel.insert_array(STREAM)
-        parallel.check_invariants()
-        assert parallel.total_inserted == len(STREAM)
-        merged = parallel.merged()
-        assert merged.total_inserted == len(STREAM)
-        assert merged.footprint <= BOUND
-
     def test_counting_merge_counts_plausible(self):
-        sharded = ShardedSynopsis.counting(
-            3, BOUND, seed=77, parallel=False
-        )
-        sharded.insert_array(STREAM)
-        merged = sharded.merged()
+        parts, merge_seed = _partitioned_shards(CountingSample, 3, 77)
+        merged = merge_counting(parts, seed=merge_seed)
         merged.check_invariants()
-        single = CountingSample(BOUND, seed=78)
-        single.insert_array(STREAM)
+        assert merged.threshold >= max(shard.threshold for shard in parts)
         true_hot = int(np.count_nonzero(STREAM == HOT_VALUE))
         # Hot values are counted exactly up to per-shard admission
         # delay (see repro.core.merge's caveat).

@@ -83,6 +83,21 @@ class TestFailoverAndRejoin:
         assert cluster.wait_until_healthy(timeout=60.0)
         assert cluster.load_batch("s", {"v": STREAM[:100]}) == 100
 
+    def test_ingest_resumes_after_rejoin_and_count_covers_every_acked_row(
+        self, cluster
+    ):
+        acked = len(STREAM)
+        cluster.kill_shard(0)
+        assert cluster.answer(CountQuery("s", "v")).degraded
+        assert cluster.wait_until_healthy(timeout=60.0)
+        for start in range(0, 3_000, 500):
+            acked += cluster.load_batch(
+                "s", {"v": STREAM[start : start + 500]}
+            )
+        final = cluster.answer(CountQuery("s", "v"))
+        assert not final.degraded
+        assert float(final.answer) == float(acked) == len(STREAM) + 3_000
+
 
 class TestNoAutoRestart:
     def test_dead_shard_stays_down(self, tmp_path):

@@ -1,11 +1,10 @@
-"""ShardedSynopsis edge cases: degenerate k=1 and empty shards.
+"""Shard-merge edge cases: a single shard and empty shards.
 
-The degenerate single-shard instance must be *byte-identical* to the
-unsharded synopsis built with the same seed -- running the Theorem-2/5
-merge machinery over one shard would redraw admission coins for no
-statistical benefit.  Empty shards (never fed, or emptied by deletes
-that raised the threshold) must merge without error and contribute
-nothing but their threshold.
+Merging one shard at its own bound raises nobody's threshold, so every
+point survives the Theorem-2/5 subsample and the merged sample holds
+exactly the unsharded sample's (value, count) pairs.  Empty shards
+(never fed, or emptied by deletes that raised the threshold) must merge
+without error and contribute nothing but their threshold.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from repro.core import (
     ConciseSample,
     CountingSample,
-    ShardedSynopsis,
     merge_concise,
     merge_counting,
 )
@@ -24,91 +22,87 @@ from repro.streams import zipf_stream
 
 STREAM = zipf_stream(20_000, 500, 1.25, seed=99)
 BOUND = 100
+KINDS = {
+    "concise": (ConciseSample, merge_concise),
+    "counting": (CountingSample, merge_counting),
+}
+
+
+def same_sample(merged, single) -> None:
+    assert merged.as_dict() == single.as_dict()
+    assert merged.threshold == single.threshold
+    assert merged.total_inserted == single.total_inserted
+    assert merged.footprint == single.footprint
 
 
 class TestDegenerateSingleShard:
-    @pytest.mark.parametrize("kind", ["concise", "counting"])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_k1_byte_identical_to_unsharded(self, kind):
-        factory = getattr(ShardedSynopsis, kind)
-        sharded = factory(1, BOUND, seed=1234, parallel=False)
-        if kind == "concise":
-            single = ConciseSample(BOUND, seed=1234)
-        else:
-            single = CountingSample(BOUND, seed=1234)
-        sharded.insert_array(STREAM)
+        sample_type, merge = KINDS[kind]
+        single = sample_type(BOUND, seed=1234)
         single.insert_array(STREAM)
-        assert sharded.merged().to_dict() == single.to_dict()
+        merged = merge([single], seed=1235)
+        merged.check_invariants()
+        same_sample(merged, single)
 
     def test_k1_identity_survives_continued_ingest(self):
-        sharded = ShardedSynopsis.concise(1, BOUND, seed=7, parallel=False)
         single = ConciseSample(BOUND, seed=7)
         for start in range(0, len(STREAM), 4096):
-            piece = STREAM[start : start + 4096]
-            sharded.insert_array(piece)
-            single.insert_array(piece)
-            # merged() is the shard itself, so it tracks every batch
-            # without a stale cache in between.
-            assert sharded.merged().to_dict() == single.to_dict()
-
-    def test_k1_merged_is_the_shard(self):
-        sharded = ShardedSynopsis.counting(1, BOUND, seed=3)
-        sharded.insert_array(STREAM)
-        assert sharded.merged() is sharded.shards[0]
-        sharded.check_invariants()
+            single.insert_array(STREAM[start : start + 4096])
+            # The merge reads the shard's current state, so it tracks
+            # every batch, threshold raises included.
+            same_sample(merge_concise([single], seed=start), single)
 
     def test_k1_custom_bound_still_merges(self):
-        # A hand-built instance with a mismatched merge bound cannot
-        # alias the shard -- the merge must actually shrink.
+        # A merge bound below the shard's must actually shrink.
         shard = ConciseSample(BOUND, seed=5)
         shard.insert_array(STREAM)
-        sharded = ShardedSynopsis(
-            [shard], merge_concise, merge_seed=6,
-            footprint_bound=BOUND // 2, policy=None,
-        )
-        merged = sharded.merged()
-        assert merged is not shard
+        merged = merge_concise([shard], seed=6, footprint_bound=BOUND // 2)
         assert merged.footprint <= BOUND // 2
+        assert merged.threshold > shard.threshold
         merged.check_invariants()
-
-    def test_k1_seed_matches_unsharded_seed(self):
-        # The factory must hand the master seed to the lone shard, not
-        # a spawned child seed.
-        sharded = ShardedSynopsis.concise(1, BOUND, seed=42)
-        single = ConciseSample(BOUND, seed=42)
-        assert sharded.shards[0].to_dict() == single.to_dict()
 
 
 class TestEmptyShards:
     def test_merge_with_one_empty_shard(self):
-        sharded = ShardedSynopsis.concise(3, BOUND, seed=11, parallel=False)
-        # Feed shards 0 and 1 directly; shard 2 stays empty.
-        sharded.shards[0].insert_array(STREAM[:5000])
-        sharded.shards[1].insert_array(STREAM[5000:10000])
-        merged = sharded.merged()
+        shards = [ConciseSample(BOUND, seed=11 + i) for i in range(3)]
+        # Feed shards 0 and 1; shard 2 stays empty.
+        shards[0].insert_array(STREAM[:5000])
+        shards[1].insert_array(STREAM[5000:10000])
+        merged = merge_concise(shards, seed=14)
         merged.check_invariants()
         assert merged.total_inserted == 10_000
 
     def test_merge_all_empty_shards(self):
-        for factory in (ShardedSynopsis.concise, ShardedSynopsis.counting):
-            sharded = factory(4, BOUND, seed=13, parallel=False)
-            merged = sharded.merged()
+        for sample_type, merge in KINDS.values():
+            shards = [sample_type(BOUND, seed=13 + i) for i in range(4)]
+            merged = merge(shards, seed=17)
             merged.check_invariants()
             assert merged.total_inserted == 0
             assert merged.footprint == 0
 
     def test_empty_batch_is_a_noop(self):
-        sharded = ShardedSynopsis.concise(2, BOUND, seed=17, parallel=False)
-        sharded.insert_array(STREAM)
-        before = sharded.merged().to_dict()
-        sharded.insert_array(np.array([], dtype=np.int64))
-        assert sharded.merged().to_dict() == before
+        shards = [ConciseSample(BOUND, seed=17 + i) for i in range(2)]
+        for shard, piece in zip(
+            shards, np.array_split(STREAM, 2), strict=True
+        ):
+            shard.insert_array(piece)
+        before = merge_concise(shards, seed=19).to_dict()
+        for shard in shards:
+            shard.insert_array(np.array([], dtype=np.int64))
+        assert merge_concise(shards, seed=19).to_dict() == before
 
     def test_fewer_values_than_shards(self):
-        sharded = ShardedSynopsis.counting(8, BOUND, seed=19, parallel=False)
-        sharded.insert_array(np.array([1, 2, 3], dtype=np.int64))
-        merged = sharded.merged()
+        shards = [CountingSample(BOUND, seed=19 + i) for i in range(8)]
+        values = np.array([1, 2, 3], dtype=np.int64)
+        for shard, piece in zip(
+            shards, np.array_split(values, 8), strict=True
+        ):
+            shard.insert_array(piece)
+        merged = merge_counting(shards, seed=27)
         merged.check_invariants()
         assert merged.total_inserted == 3
+        assert merged.as_dict() == {1: 1, 2: 1, 3: 1}
 
     def test_delete_emptied_shard_with_raised_threshold(self):
         # A counting shard emptied by deletions can carry a raised

@@ -1,4 +1,4 @@
-"""The ``python -m repro.obs`` CLI: selftest, dump, tail."""
+"""The ``python -m repro.obs`` CLI: selftest and the file-fed report."""
 
 from __future__ import annotations
 
@@ -30,36 +30,73 @@ class TestSelftest:
         assert get_registry() is NULL_REGISTRY
 
 
-class TestDump:
-    def test_prometheus_dump_parses(self, capsys):
-        assert main(["--rows", "5000"]) == 0
-        text = capsys.readouterr().out
-        parsed = obs.parse_prometheus(text)
-        assert "repro_synopsis_footprint_words" in parsed
-        assert "repro_queries_total" in parsed
+class TestUsage:
+    def test_bare_invocation_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main([])
+        assert caught.value.code == 2
+        assert "--selftest" in capsys.readouterr().err
 
-    def test_json_dump_parses(self, capsys):
-        assert main(["--format", "json", "--rows", "5000"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["metrics"]
-        assert len(payload["spans"]) == 4
-
-    def test_tail_renders_each_round(self, capsys):
-        assert main(["--rows", "6000", "--tail", "3"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("--- round") == 3
+    def test_report_without_files_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["report"])
+        assert caught.value.code == 2
+        assert "--metrics" in capsys.readouterr().err
 
 
 class TestReport:
-    def test_demo_report_renders_all_sections(self, capsys):
-        assert main(["report", "--rows", "2000"]) == 0
+    def test_report_from_exported_files(self, capsys, tmp_path):
+        """A registry snapshot and a drained trace file written by a
+        live workload render into every populated section."""
+        from repro.obs.__main__ import build_workload, ingest_round
+
+        registry = obs.enable()
+        try:
+            workload = build_workload(registry, seed=7)
+            ingest_round(workload, 2_000, seed=17)
+            trace_path = tmp_path / "trace.jsonl"
+            obs.TraceSink(capacity=256, path=str(trace_path)).drain(
+                workload["tracer"]
+            )
+            metrics_path = tmp_path / "metrics.json"
+            metrics_path.write_text(json.dumps(obs.render_json(registry)))
+        finally:
+            obs.disable()
+        argv = ["report", "--metrics", str(metrics_path)]
+        assert main([*argv, "--trace", str(trace_path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("repro health report")
+        assert "CountQuery" in out
+        assert "root span(s)" in out
         assert "no cluster data" in out
         assert "unrecognized series" not in out
 
-    def test_cluster_flag_populates_cluster_section(self, capsys):
-        assert main(["report", "--rows", "2000", "--cluster"]) == 0
+    def test_cluster_metrics_file_populates_cluster_section(
+        self, capsys, tmp_path
+    ):
+        """Metrics exported by a 2-shard fleet that lost and restarted
+        a worker fill the report's cluster section."""
+        from repro.cluster import ShardedWarehouse
+        from repro.engine import CountQuery
+        from repro.streams import zipf_stream
+
+        registry = obs.enable()
+        try:
+            with ShardedWarehouse(
+                2, tmp_path / "fleet", seed=31, registry=registry
+            ) as cluster:
+                cluster.create_relation("sales", ["item"])
+                cluster.register_synopsis("sales", "item", footprint_bound=400)
+                items = zipf_stream(2_000, 1_000, 1.25, seed=32)
+                cluster.load_batch("sales", {"item": items})
+                cluster.kill_shard(0)
+                cluster.answer(CountQuery("sales", "item"))
+                cluster.wait_until_healthy(timeout=30.0)
+            metrics_path = tmp_path / "metrics.json"
+            metrics_path.write_text(json.dumps(obs.render_json(registry)))
+        finally:
+            obs.disable()
+        assert main(["report", "--metrics", str(metrics_path)]) == 0
         out = capsys.readouterr().out
         assert "no cluster data" not in out
         assert "failovers 1" in out

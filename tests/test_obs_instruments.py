@@ -11,12 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.core import (
-    ConciseSample,
-    CountingSample,
-    ReservoirSample,
-    ShardedSynopsis,
-)
+from repro.core import ConciseSample, CountingSample, ReservoirSample
 from repro.core.merge import merge_concise, merge_counting
 from repro.streams import zipf_stream
 
@@ -196,23 +191,6 @@ class TestLifecycleProbe:
                 {"kind": "counting-sample"},
             )
             == 2.0
-        )
-
-    def test_sharded_ingest_events(self):
-        registry = obs.enable()
-        sharded = ShardedSynopsis.concise(
-            shards=4, footprint_bound=128, seed=50, parallel=False
-        )
-        sharded.insert_array(zipf_stream(8_000, 500, 1.0, seed=51))
-        sharded.insert_array(zipf_stream(8_000, 500, 1.0, seed=52))
-        labels = {"kind": "concise-sample"}
-        assert (
-            registry.value("repro_sharded_ingest_batches_total", labels)
-            == 2.0
-        )
-        assert (
-            registry.value("repro_sharded_ingest_rows_total", labels)
-            == 16_000.0
         )
 
     def test_disabled_probe_records_nothing(self):

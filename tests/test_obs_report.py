@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import asyncio
 import math
 
 import pytest
 
 from repro import obs
+from repro.cluster import ShardedWarehouse
+from repro.core import ConciseSample
+from repro.engine import (
+    ApproximateAnswerEngine,
+    CountQuery,
+    DataWarehouse,
+    FrequencyQuery,
+    HotListQuery,
+)
+from repro.estimators import Predicate
+from repro.hotlist import CountingHotList
 from repro.obs.report import histogram_quantile, render_health_report
+from repro.serving import AQPClient, AQPServer, ServerError
+from repro.streams import zipf_stream
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +161,35 @@ class TestRenderSections:
         assert "synopsis_answer: 1 span(s)" in report
 
 
+async def serve_one_session(registry, *, rows: int, seed: int) -> None:
+    """One client's hello/ingest/snapshot/query/bye session against a
+    loopback server, including one failing query so an error outcome
+    registers."""
+    warehouse = DataWarehouse()
+    warehouse.create_relation("sales", ["item"])
+    engine = ApproximateAnswerEngine(warehouse)
+    engine.register_sample("sales", "item", ConciseSample(500, seed=seed + 1))
+    engine.register_hotlist(
+        "sales", "item", CountingHotList(footprint_bound=200, seed=seed + 2)
+    )
+    server = AQPServer(warehouse, engine, registry=registry)
+    host, port = await server.start()
+    try:
+        client = await AQPClient.connect(host, port)
+        await client.hello()
+        items = zipf_stream(rows, 1_000, 1.25, seed=seed + 3)
+        await client.ingest("sales", {"item": [int(value) for value in items]})
+        await client.snapshot()
+        await client.query(CountQuery("sales", "item", Predicate(high=100)))
+        await client.query(HotListQuery("sales", "item", k=5))
+        await client.query(CountQuery("sales", "item"), mode="live")
+        with pytest.raises(ServerError):
+            await client.query(CountQuery("sales", "store"))
+        await client.bye()
+    finally:
+        await server.shutdown()
+
+
 class TestServingSection:
     def test_summary_and_per_op_table(self):
         metrics = {
@@ -213,12 +256,10 @@ class TestServingSection:
         assert "10.00ms" in report
 
     def test_live_server_workload_populates_section(self):
-        """The demo serving round feeds every summary instrument."""
-        from repro.obs.__main__ import serving_round
-
+        """A loopback server session feeds every summary instrument."""
         registry = obs.enable()
         try:
-            serving_round(registry, rows=500, seed=13)
+            asyncio.run(serve_one_session(registry, rows=500, seed=13))
             report = render_health_report(obs.render_json(registry))
         finally:
             obs.disable()
@@ -320,13 +361,27 @@ class TestClusterSection:
         assert "shards 2/2" in report
         assert "DEGRADED" not in report
 
-    def test_live_cluster_round_populates_section(self):
-        """The demo cluster round feeds every summary instrument."""
-        from repro.obs.__main__ import cluster_round
-
+    def test_live_two_shard_failover_populates_section(self, tmp_path):
+        """A two-shard round with one failover feeds every summary
+        instrument."""
         registry = obs.enable()
         try:
-            cluster_round(registry, rows=400, seed=23)
+            with ShardedWarehouse(
+                2, tmp_path, seed=23, registry=registry
+            ) as cluster:
+                cluster.create_relation("sales", ["item"])
+                cluster.register_synopsis(
+                    "sales", "item", footprint_bound=400, hotlist=True
+                )
+                items = zipf_stream(400, 1_000, 1.25, seed=24)
+                cluster.load_batch("sales", {"item": items})
+                cluster.answer(FrequencyQuery("sales", "item", value=1))
+                cluster.answer(CountQuery("sales", "item"))
+                cluster.answer(HotListQuery("sales", "item", k=5))
+                cluster.kill_shard(0)
+                cluster.answer(CountQuery("sales", "item"))
+                cluster.wait_until_healthy(timeout=30.0)
+                cluster.answer(CountQuery("sales", "item"))
             report = render_health_report(obs.render_json(registry))
         finally:
             obs.disable()
@@ -391,9 +446,10 @@ class TestEndToEnd:
         try:
             workload = build_workload(registry, seed=7)
             ingest_round(workload, 20_000, seed=17)
-            workload["sink"].drain(workload["tracer"])
+            sink = obs.TraceSink(capacity=256, registry=registry)
+            sink.drain(workload["tracer"])
             report = render_health_report(
-                obs.render_json(registry), list(workload["sink"].records())
+                obs.render_json(registry), list(sink.records())
             )
         finally:
             obs.disable()

@@ -10,24 +10,27 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.concise import ConciseSample
 from repro.core.counting import CountingSample
-from repro.engine.oplog import OperationLog
 from repro.engine.warehouse import DataWarehouse
 from repro.persist import (
     CheckpointStore,
     LogGapError,
     RecoveryManager,
     ReplayError,
+    read_operations,
+    record_range,
     segment_name,
 )
+from repro.streams import zipf_stream
 
 
-def build_live(tmp_path, *, synopsis=None, oplog=None):
+def build_live(tmp_path, *, synopsis=None):
     store = CheckpointStore(tmp_path / "state")
-    manager = RecoveryManager(store, oplog=oplog)
+    manager = RecoveryManager(store)
     warehouse = DataWarehouse()
     warehouse.create_relation("sales", ["item", "qty"])
     manager.attach(warehouse)
@@ -122,16 +125,79 @@ class TestHappyPath:
         # Only the post-checkpoint segment survives truncation.
         assert store.wal.segment_bases() == [9]
 
-    def test_oplog_mirror_tracks_the_wal(self, tmp_path):
-        mirror = OperationLog()
-        _, manager, warehouse = build_live(tmp_path, oplog=mirror)
-        for i in range(5):
-            warehouse.insert("sales", (i, i))
-        assert len(mirror) == 5
+    def test_checkpoint_plus_replay_equals_continuous(self, tmp_path):
+        """Checkpoint halfway, replay the rest: the recovered sample is
+        the one an uninterrupted run builds (the footprint is roomy, so
+        counting maintenance is deterministic)."""
+        stream = zipf_stream(1_000, 50, 1.0, seed=1)
+        half = len(stream) // 2
+        continuous = CountingSample(200, seed=2)
+        continuous.insert_array(stream)
+
+        sample = CountingSample(200, seed=2)
+        _, manager, warehouse = build_live(tmp_path, synopsis=sample)
+        warehouse.add_observer(lambda rel, row, ins: sample.insert(row[0]))
+        for value in stream[:half].tolist():
+            warehouse.insert("sales", (value, 0))
         manager.checkpoint()
-        assert len(mirror) == 0  # truncated with the WAL
-        warehouse.insert("sales", (9, 9))
-        assert [e.sequence for e in mirror.entries_since(0)] == [5]
+        for value in stream[half:].tolist():
+            warehouse.insert("sales", (value, 0))
+        manager.detach()
+
+        state = reopen(tmp_path, seed=3)
+        assert state.replayed == len(stream) - half
+        restored = state.synopsis("sales", "item")
+        assert restored.as_dict() == continuous.as_dict()
+
+    def test_replay_filters_by_relation(self, tmp_path):
+        # A second relation with the same attribute name interleaves
+        # the suffix; only "sales" rows may reach the bound sample.
+        sample = CountingSample(footprint_bound=64, seed=4)
+        _, manager, warehouse = build_live(tmp_path, synopsis=sample)
+        warehouse.create_relation("returns", ["item", "qty"])
+        manager.checkpoint()
+        warehouse.insert("sales", (1, 0))
+        warehouse.insert("returns", (2, 0))
+        warehouse.insert("sales", (3, 0))
+        manager.detach()
+
+        state = reopen(tmp_path)
+        assert state.replayed == 3
+        restored = state.synopsis("sales", "item")
+        assert restored.as_dict() == {1: 1, 3: 1}
+        assert state.warehouse.relation("returns").size == 1
+
+    def test_replay_applies_deletes(self, tmp_path):
+        sample = CountingSample(footprint_bound=64, seed=5)
+        _, manager, warehouse = build_live(tmp_path, synopsis=sample)
+        manager.checkpoint()
+        warehouse.insert("sales", (7, 0))
+        warehouse.insert("sales", (7, 1))
+        warehouse.delete("sales", (7, 0))
+        manager.detach()
+
+        state = reopen(tmp_path)
+        assert state.synopsis("sales", "item").count_of(7) == 1
+        assert state.warehouse.relation("sales").size == 1
+
+    def test_load_batch_is_one_wal_record(self, tmp_path):
+        store, manager, warehouse = build_live(tmp_path)
+        warehouse.load_batch(
+            "sales",
+            {"item": np.asarray([1, 2, 3]), "qty": np.asarray([4, 5, 6])},
+        )
+        warehouse.insert("sales", (7, 8))
+        manager.detach()
+
+        operations, _, _ = read_operations(store.filesystem, store.wal.directory)
+        assert [op["kind"] for op in operations] == ["batch", "op"]
+        assert record_range(operations[0]) == (1, 3)
+        assert record_range(operations[1]) == (4, 4)
+        state = reopen(tmp_path)
+        assert state.sequence == 4
+        assert sorted(state.warehouse.relation("sales").rows()) == [
+            (1, 4), (2, 5), (3, 6), (7, 8)
+        ]
 
 
 class TestLateCreatedRelations:

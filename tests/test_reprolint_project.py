@@ -20,12 +20,7 @@ import pytest
 from repro.analysis import analyze_paths
 from repro.analysis.__main__ import main
 from repro.analysis.module import SourceModule
-from repro.analysis.project import (
-    AnalysisCache,
-    ProjectModel,
-    content_hash,
-    summarize_module,
-)
+from repro.analysis.project import ProjectModel, summarize_module
 from repro.analysis.runner import default_root
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -272,39 +267,6 @@ class TestProjectModel:
         )
         method = summary.classes[0].methods["poke"]
         assert {"_grid", "_cells"} <= set(method.writes)
-
-    def test_summary_json_round_trip(self, tmp_path: Path) -> None:
-        source = textwrap.dedent(
-            """\
-            from repro.core import Thing  # noqa
-            class S(Thing):
-                KIND = 1
-                SNAPSHOT_KIND = "s"
-                def mutate(self, value):
-                    self._counts[value] = 1
-                    self.helper()
-                def helper(self):
-                    return self._counts
-            """
-        )
-        summary = summarize_module(
-            SourceModule(tmp_path / "repro" / "m.py", source, tmp_path)
-        )
-        from repro.analysis.project import ModuleSummary
-
-        rebuilt = ModuleSummary.from_json(
-            json.loads(json.dumps(summary.to_json()))
-        )
-        assert rebuilt.parts == summary.parts
-        assert rebuilt.sha256 == summary.sha256
-        cls, rebuilt_cls = summary.classes[0], rebuilt.classes[0]
-        assert rebuilt_cls.snapshot_kind == "s"
-        assert rebuilt_cls.class_assigns == cls.class_assigns
-        assert (
-            rebuilt_cls.methods["mutate"].writes
-            == cls.methods["mutate"].writes
-        )
-        assert rebuilt_cls.methods["mutate"].calls == {"helper"}
 
 
 # ----------------------------------------------------------------------
@@ -955,104 +917,6 @@ class TestMutationAcceptance:
             target.write_text(original, encoding="utf-8")
 
 
-# ----------------------------------------------------------------------
-# The content-hash cache: incremental runs skip unchanged files
-# ----------------------------------------------------------------------
-
-
-class TestAnalysisCache:
-    def _tree(self, tmp_path: Path) -> dict[str, str]:
-        return {
-            "repro/core/clean.py": "VALUE = 1\n",
-            "repro/core/bad.py": "import time\n",
-        }
-
-    def test_second_run_parses_nothing(
-        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        import repro.analysis.runner as runner_module
-
-        write_tree(tmp_path / "tree", self._tree(tmp_path))
-        cache_file = tmp_path / "cache.json"
-        parsed: list[Path] = []
-        real = runner_module.SourceModule
-
-        class CountingModule(real):  # type: ignore[misc,valid-type]
-            def __init__(self, path, source, root):
-                parsed.append(path)
-                super().__init__(path, source, root)
-
-        monkeypatch.setattr(runner_module, "SourceModule", CountingModule)
-        first = analyze_paths([tmp_path / "tree"], cache_path=cache_file)
-        assert parsed, "first run must parse"
-        parsed.clear()
-        second = analyze_paths([tmp_path / "tree"], cache_path=cache_file)
-        assert parsed == [], "second run must be served from the cache"
-        assert first == second
-        assert any(f.rule == "RL005" for f in second)
-
-    def test_only_changed_file_reparsed(
-        self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        import repro.analysis.runner as runner_module
-
-        write_tree(tmp_path / "tree", self._tree(tmp_path))
-        cache_file = tmp_path / "cache.json"
-        analyze_paths([tmp_path / "tree"], cache_path=cache_file)
-
-        parsed: list[Path] = []
-        real = runner_module.SourceModule
-
-        class CountingModule(real):  # type: ignore[misc,valid-type]
-            def __init__(self, path, source, root):
-                parsed.append(path)
-                super().__init__(path, source, root)
-
-        monkeypatch.setattr(runner_module, "SourceModule", CountingModule)
-        changed = tmp_path / "tree" / "repro" / "core" / "clean.py"
-        changed.write_text("VALUE = 2\n", encoding="utf-8")
-        analyze_paths([tmp_path / "tree"], cache_path=cache_file)
-        assert [p.name for p in parsed] == ["clean.py"]
-
-    def test_project_rules_rerun_over_cached_summaries(
-        self, tmp_path: Path
-    ) -> None:
-        files = {
-            "repro/core/a.py": "class A:\n    SNAPSHOT_KIND = 'dup'\n",
-            "repro/core/b.py": "class B:\n    SNAPSHOT_KIND = 'dup'\n",
-        }
-        write_tree(tmp_path / "tree", files)
-        cache_file = tmp_path / "cache.json"
-        first = analyze_paths([tmp_path / "tree"], cache_path=cache_file)
-        second = analyze_paths([tmp_path / "tree"], cache_path=cache_file)
-        assert [f.rule for f in first] == ["RL015"]
-        assert first == second
-
-    def test_cache_invalidated_by_content_change(
-        self, tmp_path: Path
-    ) -> None:
-        path = tmp_path / "m.py"
-        path.write_text("A = 1\n", encoding="utf-8")
-        cache = AnalysisCache(tmp_path / "c.json")
-        digest = content_hash(path.read_text(encoding="utf-8"))
-        cache.store(str(path), digest, [], None)
-        cache.save()
-        reloaded = AnalysisCache(tmp_path / "c.json")
-        assert reloaded.lookup(str(path), digest) is not None
-        assert reloaded.lookup(str(path), content_hash("A = 2\n")) is None
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path: Path) -> None:
-        cache_file = tmp_path / "c.json"
-        cache_file.write_text("{not json", encoding="utf-8")
-        write_tree(tmp_path / "tree", {"repro/core/x.py": "V = 1\n"})
-        findings = analyze_paths(
-            [tmp_path / "tree"], cache_path=cache_file
-        )
-        assert findings == []
-        # And the cache was rewritten into a loadable state.
-        assert json.loads(cache_file.read_text(encoding="utf-8"))[
-            "version"
-        ] == AnalysisCache.VERSION
 
 
 # ----------------------------------------------------------------------

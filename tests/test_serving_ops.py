@@ -76,6 +76,30 @@ MALFORMED = [
         "bad-request",
     ),
     (
+        "fractional values in an int column",
+        "ingest",
+        {"relation": RELATION, "columns": {ATTRIBUTE: ints([1.5, 2])}},
+        "bad-request",
+    ),
+    (
+        "numeric strings in an int column",
+        "ingest",
+        {"relation": RELATION, "columns": {ATTRIBUTE: ints(["3", "4"])}},
+        "bad-request",
+    ),
+    (
+        "booleans in an int column",
+        "ingest",
+        {"relation": RELATION, "columns": {ATTRIBUTE: ints([True, False])}},
+        "bad-request",
+    ),
+    (
+        "nested lists in an int column",
+        "ingest",
+        {"relation": RELATION, "columns": {ATTRIBUTE: ints([[1, 2], [3, 4]])}},
+        "bad-request",
+    ),
+    (
         "float column",
         "ingest",
         {
