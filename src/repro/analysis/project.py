@@ -30,9 +30,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.analysis.findings import Finding
 from repro.analysis.module import SourceModule
 from repro.analysis.snapshot_fields import (
     consumed_keys,
@@ -783,11 +782,3 @@ class ProjectModel:
                 if callee not in visited and callee not in exclude:
                     stack.append(callee)
         return gathered
-
-
-def iter_project_findings(
-    model: ProjectModel, rules: Sequence[Any]
-) -> Iterator[Finding]:
-    """Run every project rule over the model (no suppression filter)."""
-    for rule in rules:
-        yield from rule.check_project(model)

@@ -14,6 +14,14 @@ threshold is raised to some ``tau' > tau`` and every current sample
 point survives independently with probability ``tau/tau'`` (Theorem 2
 proves the result is a uniform sample at threshold ``tau'``).  Geometric
 skip counters make the amortised cost O(1) per insert.
+
+The representation is a pair of parallel int64 arrays -- the distinct
+values and their sample counts, in first-admission order -- grown by
+doubling, plus a ``value -> slot`` dict.  Admissions append a slot or
+bump a count in place; an eviction sweep thins the counts and compacts
+the emptied slots once, stably.  The answer path therefore reads the
+``(value, count)`` pairs as a copy of two array prefixes, never as a
+walk over a dict.
 """
 
 from __future__ import annotations
@@ -45,6 +53,19 @@ __all__ = ["ConciseSample"]
 _CHUNK_DIVISOR = 4
 _MIN_CHUNK = 256
 _MAX_CHUNK_GROWTH = 1024
+_MIN_CAPACITY = 16
+
+
+def _with_capacity(prefix: np.ndarray, capacity: int) -> np.ndarray:
+    """A fresh int64 buffer of ``capacity`` slots starting with ``prefix``."""
+    buffer = np.empty(capacity, dtype=np.int64)
+    buffer[: len(prefix)] = prefix
+    return buffer
+
+
+def _words(counts: np.ndarray) -> int:
+    """Footprint of positive counts: one word per singleton, two per pair."""
+    return 2 * len(counts) - int(np.count_nonzero(counts == 1))
 
 
 class ConciseSample(StreamSynopsis):
@@ -90,7 +111,12 @@ class ConciseSample(StreamSynopsis):
         self.footprint_bound = footprint_bound
         self.policy = policy if policy is not None else MultiplicativeRaise()
         self._rng = ReproRandom(seed)
-        self._counts: dict[int, int] = {}
+        # Slots [0, _size) of the parallel arrays hold the sample; the
+        # slot map answers "where is this value" for the admission path.
+        self._slot: dict[int, int] = {}
+        self._values = np.empty(_MIN_CAPACITY, dtype=np.int64)
+        self._counts = np.empty(_MIN_CAPACITY, dtype=np.int64)
+        self._size = 0
         self._footprint = 0
         self._sample_size = 0
         self._threshold = 1.0
@@ -100,8 +126,8 @@ class ConciseSample(StreamSynopsis):
         # per-element-only runs consume exactly the same RNG stream as
         # before the batch pipeline existed.
         self._vector_coins: VectorCoins | None = None
-        # Memoized (values, counts) arrays for the answer path; reset
-        # to None by every mutation of ``_counts``.
+        # Memoized read-only copy of the live slots for the answer path;
+        # reset to None by every mutation of the arrays.
         self._columnar: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -126,7 +152,7 @@ class ConciseSample(StreamSynopsis):
     @property
     def distinct_in_sample(self) -> int:
         """Number of distinct values currently in the sample."""
-        return len(self._counts)
+        return self._size
 
     @property
     def total_inserted(self) -> int:
@@ -140,7 +166,7 @@ class ConciseSample(StreamSynopsis):
         return self._inserted
 
     def __contains__(self, value: int) -> bool:
-        return value in self._counts
+        return value in self._slot
 
     def __len__(self) -> int:
         return self._sample_size
@@ -154,40 +180,46 @@ class ConciseSample(StreamSynopsis):
 
     def count_of(self, value: int) -> int:
         """How many sample points equal ``value`` (0 if absent)."""
-        return self._counts.get(value, 0)
+        slot = self._slot.get(value)
+        return 0 if slot is None else int(self._counts[slot])
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Iterate ``(value, sample count)`` for every value present."""
-        return iter(self._counts.items())
+        size = self._size
+        return zip(
+            self._values[:size].tolist(),
+            self._counts[:size].tolist(),
+            strict=True,
+        )
 
     def as_dict(self) -> dict[int, int]:
         """A copy of the sample as ``{value: sample count}``."""
-        return dict(self._counts)
+        return dict(self.pairs())
 
     def count_histogram(self) -> Mapping[int, int]:
         """Map from sample count to the number of values with it."""
-        return Counter(self._counts.values())
+        return Counter(self._counts[: self._size].tolist())
 
     def bit_footprint(self, value_bits: int = 32) -> int:
         """Footprint in bits under variable-length count encoding
         (paper footnote 3)."""
         from repro.core.footprint import bit_footprint
 
-        return bit_footprint(self._counts, value_bits)
+        return bit_footprint(self.as_dict(), value_bits)
 
     def columnar_view(self) -> tuple[np.ndarray, np.ndarray]:
         """Parallel ``(values, counts)`` int64 arrays of the sample.
 
-        Built once from the concise representation and memoized until
-        the next mutation, so repeated reports between inserts pay no
-        rebuild.  The arrays are shared across calls and marked
-        read-only; callers must not write through them.
+        A read-only copy of the live slots, memoized until the next
+        mutation: repeated reports between inserts share one copy, and
+        the first read after a mutation pays one O(m) memcpy.  A view
+        that was handed out never changes under its holder.
         """
         view = self._columnar
         if view is None:
-            size = len(self._counts)
-            values = np.fromiter(self._counts.keys(), np.int64, size)
-            counts = np.fromiter(self._counts.values(), np.int64, size)
+            size = self._size
+            values = self._values[:size].copy()
+            counts = self._counts[:size].copy()
             values.setflags(write=False)
             counts.setflags(write=False)
             view = (values, counts)
@@ -201,10 +233,8 @@ class ConciseSample(StreamSynopsis):
         semantics of Theorem 2) of all values inserted so far, and can
         be fed to any conventional sampling-based estimator.
         """
-        if not self._counts:
-            return np.empty(0, dtype=np.int64)
-        values, counts = self.columnar_view()
-        return np.repeat(values, counts)
+        size = self._size
+        return np.repeat(self._values[:size], self._counts[:size])
 
     def estimate_frequency(self, value: int) -> float:
         """Estimated occurrence count of ``value`` in the full relation.
@@ -216,7 +246,7 @@ class ConciseSample(StreamSynopsis):
         if self._sample_size == 0:
             return 0.0
         scale = self._inserted / self._sample_size
-        return self._counts.get(value, 0) * scale
+        return self.count_of(value) * scale
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -296,20 +326,38 @@ class ConciseSample(StreamSynopsis):
         return max(_MIN_CHUNK, int(expected) // _CHUNK_DIVISOR)
 
     def _add_batch(self, admitted: np.ndarray) -> None:
-        """Fold a block of admitted values into the representation."""
-        uniq, counts = np.unique(admitted, return_counts=True)
+        """Fold a block of admitted values into the representation.
+
+        One slot lookup per distinct admitted value; existing slots are
+        bumped through an index array and new values are appended in
+        ascending order.
+        """
+        uniq, added = np.unique(admitted, return_counts=True)
         self.counters.lookups += len(uniq)
-        counts_dict = self._counts
-        get = counts_dict.get
-        footprint = self._footprint
-        for value, count in zip(uniq.tolist(), counts.tolist(), strict=True):
-            current = get(value, 0)
-            if current == 0:
-                footprint += 1 if count == 1 else 2
-            elif current == 1:
-                footprint += 1
-            counts_dict[value] = current + count
-        self._footprint = footprint
+        get = self._slot.get
+        slots = np.array([get(value, -1) for value in uniq.tolist()], np.int64)
+        present = slots >= 0
+        old_slots = slots[present]
+        old_counts = self._counts[old_slots]
+        self._counts[old_slots] = old_counts + added[present]
+        fresh = ~present
+        new_values = uniq[fresh]
+        new_counts = added[fresh]
+        size = self._size
+        end = size + len(new_values)
+        if end > len(self._values):
+            capacity = max(2 * len(self._values), end)
+            self._values = _with_capacity(self._values[:size], capacity)
+            self._counts = _with_capacity(self._counts[:size], capacity)
+        self._values[size:end] = new_values
+        self._counts[size:end] = new_counts
+        self._slot.update(zip(new_values.tolist(), range(size, end)))
+        self._size = end
+        # A new value costs one word as a singleton, two as a pair; a
+        # singleton that gains points becomes a pair (one more word).
+        self._footprint += (
+            _words(new_counts) + int(np.count_nonzero(old_counts == 1))
+        )
         self._sample_size += int(admitted.size)
         self._columnar = None
         if obs_probe.PROBE is not None:
@@ -320,12 +368,24 @@ class ConciseSample(StreamSynopsis):
     def _add_sample_point(self, value: int) -> None:
         """Place an admitted value into the concise representation."""
         self.counters.lookups += 1
-        count = self._counts.get(value, 0)
-        if count <= 1:
-            # New singleton, or singleton converting to a pair: either
-            # way the footprint grows by one word.
+        slot = self._slot.get(value)
+        if slot is None:
+            # New singleton: one more word, in a new slot at the end.
+            size = self._size
+            if size == len(self._values):
+                self._values = _with_capacity(self._values, 2 * size)
+                self._counts = _with_capacity(self._counts, 2 * size)
+            self._values[size] = value
+            self._counts[size] = 1
+            self._slot[value] = size
+            self._size = size + 1
             self._footprint += 1
-        self._counts[value] = count + 1
+        else:
+            count = self._counts.item(slot)
+            if count == 1:
+                # Singleton converting to a pair: one more word.
+                self._footprint += 1
+            self._counts[slot] = count + 1
         self._sample_size += 1
         self._columnar = None
         if obs_probe.PROBE is not None:
@@ -358,21 +418,13 @@ class ConciseSample(StreamSynopsis):
         sweeper = EvictionSkipper(
             self._rng, self.counters, eviction_probability
         )
-        for value in list(self._counts):
-            count = self._counts[value]
-            evicted = sweeper.evictions_within(count)
-            if not evicted:
-                continue
-            remaining = count - evicted
-            self._sample_size -= evicted
-            if remaining == 0:
-                del self._counts[value]
-                self._footprint -= 2 if count >= 2 else 1
-            else:
-                self._counts[value] = remaining
-                if remaining == 1 and count >= 2:
-                    self._footprint -= 1
-        self._columnar = None
+        size = self._size
+        counts = self._counts[:size]
+        evictions = sweeper.evictions_within
+        evicted = np.fromiter(
+            (evictions(count) for count in counts.tolist()), np.int64, size
+        )
+        self._keep(self._values[:size], counts - evicted)
         self._threshold = new_threshold
         self._admission.raise_threshold(new_threshold)
         if obs_probe.PROBE is not None:
@@ -389,27 +441,18 @@ class ConciseSample(StreamSynopsis):
 
         Every ``(value, count)`` run draws its survivor count from
         ``Binomial(count, tau / tau')`` -- the closed form of Theorem
-        2's per-point coin flips -- and the representation is rebuilt
-        from the survivor arrays.
+        2's per-point coin flips -- and the emptied slots are compacted
+        once.
         """
         self.counters.threshold_raises += 1
         old_threshold = self._threshold
         size_before = self._sample_size
         keep_probability = self._threshold / new_threshold
-        values, counts = self.columnar_view()
+        size = self._size
         survivors = self._coins().binomial_survivors(
-            counts, keep_probability
+            self._counts[:size], keep_probability
         )
-        alive = survivors > 0
-        self._counts = dict(
-            zip(values[alive].tolist(), survivors[alive].tolist(), strict=True)
-        )
-        self._columnar = None
-        self._footprint = int(
-            np.count_nonzero(survivors == 1)
-            + 2 * np.count_nonzero(survivors >= 2)
-        )
-        self._sample_size = int(survivors.sum())
+        self._keep(self._values[:size], survivors)
         self._threshold = new_threshold
         self._admission.raise_threshold(new_threshold)
         if obs_probe.PROBE is not None:
@@ -420,6 +463,47 @@ class ConciseSample(StreamSynopsis):
                 size_before,
                 self._sample_size,
             )
+
+    def _keep(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """Make the runs with a positive count the whole sample.
+
+        Zero-count runs are dropped stably, so the surviving slots
+        keep their relative order.  The new buffers never alias the
+        inputs.
+        """
+        alive = counts > 0
+        values = values[alive]
+        counts = counts[alive]
+        size = len(values)
+        capacity = max(_MIN_CAPACITY, 2 * size)
+        self._values = _with_capacity(values, capacity)
+        self._counts = _with_capacity(counts, capacity)
+        self._size = size
+        self._slot = dict(zip(values.tolist(), range(size)))
+        self._footprint = _words(counts)
+        self._sample_size = int(counts.sum())
+        self._columnar = None
+
+    def _adopt(
+        self,
+        values: np.ndarray,
+        counts: np.ndarray,
+        threshold: float,
+        total_inserted: int,
+    ) -> None:
+        """Take over distinct-valued runs sampled at ``threshold``.
+
+        Replaces the sample with the positive-count runs, sets the
+        threshold and the stream length, and raises the threshold
+        further if the runs overflow the footprint bound.
+        """
+        self._keep(values, counts)
+        self._threshold = float(threshold)
+        self._inserted = int(total_inserted)
+        if threshold > 1.0:
+            self._admission.raise_threshold(float(threshold))
+        if self._footprint > self.footprint_bound:
+            self._shrink(batch=True)
 
     # ------------------------------------------------------------------
     # Construction from existing state / validation
@@ -449,21 +533,19 @@ class ConciseSample(StreamSynopsis):
             policy=policy,
             counters=counters,
         )
-        for value, count in counts.items():
-            if count <= 0:
-                raise SynopsisError("counts must be positive")
-            sample._counts[int(value)] = int(count)
-            sample._footprint += 1 if count == 1 else 2
-            sample._sample_size += count
-        if sample._footprint > footprint_bound:
+        size = len(counts)
+        values = np.fromiter((int(v) for v in counts), np.int64, size)
+        tallies = np.fromiter(
+            (int(c) for c in counts.values()), np.int64, size
+        )
+        if np.any(tallies <= 0):
+            raise SynopsisError("counts must be positive")
+        if _words(tallies) > footprint_bound:
             raise SynopsisError("state exceeds the footprint bound")
         if threshold < 1.0:
             raise SynopsisError("threshold must be at least 1")
-        sample._threshold = float(threshold)
-        sample._inserted = int(total_inserted)
+        sample._adopt(values, tallies, threshold, total_inserted)
         sample.counters.inserts += total_inserted
-        if threshold > 1.0:
-            sample._admission.raise_threshold(float(threshold))
         return sample
 
     def to_dict(self) -> dict[str, Any]:
@@ -482,9 +564,7 @@ class ConciseSample(StreamSynopsis):
             "format_version": SNAPSHOT_FORMAT_VERSION,
             "footprint_bound": self.footprint_bound,
             "threshold": self._threshold,
-            "counts": [
-                [value, count] for value, count in self._counts.items()
-            ],
+            "counts": [[value, count] for value, count in self.pairs()],
             "total_inserted": self._inserted,
             "counters": self.counters.to_dict(),
         }
@@ -533,9 +613,32 @@ class ConciseSample(StreamSynopsis):
         return sample
 
     def check_invariants(self) -> None:
-        """Recompute bookkeeping from the raw state; raise on drift."""
-        footprint = sum(1 if c == 1 else 2 for c in self._counts.values())
-        sample_size = sum(self._counts.values())
+        """Recompute bookkeeping from the raw state; raise on drift.
+
+        Also checks that the slot map and the arrays agree: every slot
+        maps back to its value, no value repeats, and the live length
+        equals the map's size.
+        """
+        size = self._size
+        values = self._values[:size]
+        counts = self._counts[:size]
+        if len(self._slot) != size:
+            raise SynopsisError(
+                f"slot map holds {len(self._slot)} values, "
+                f"arrays hold {size}"
+            )
+        if len(np.unique(values)) != size:
+            raise SynopsisError("a value occupies more than one slot")
+        keys = np.fromiter(self._slot.keys(), np.int64, size)
+        slots = np.fromiter(self._slot.values(), np.int64, size)
+        if np.any((slots < 0) | (slots >= size)) or np.any(
+            values[slots] != keys
+        ):
+            raise SynopsisError("slot map disagrees with the value array")
+        if np.any(counts <= 0):
+            raise SynopsisError("non-positive sample count")
+        footprint = _words(counts)
+        sample_size = int(counts.sum())
         if footprint != self._footprint:
             raise SynopsisError(
                 f"footprint drift: stored {self._footprint}, "
@@ -548,5 +651,3 @@ class ConciseSample(StreamSynopsis):
             )
         if self._footprint > self.footprint_bound:
             raise SynopsisError("footprint exceeds its bound")
-        if any(c <= 0 for c in self._counts.values()):
-            raise SynopsisError("non-positive sample count")

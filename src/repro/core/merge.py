@@ -41,15 +41,6 @@ from repro.randkit.coins import CostCounters
 __all__ = ["merge_concise", "merge_counting"]
 
 
-def _shard_arrays(
-    counts: dict[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    size = len(counts)
-    values = np.fromiter(counts.keys(), np.int64, size)
-    tallies = np.fromiter(counts.values(), np.int64, size)
-    return values, tallies
-
-
 def merge_concise(
     samples: Sequence[ConciseSample],
     *,
@@ -91,28 +82,29 @@ def merge_concise(
         bound, seed=seed, policy=policy, counters=counters
     )
     coins = merged._coins()
-    union: Counter[int] = Counter()
+    shard_values: list[np.ndarray] = []
+    shard_survivors: list[np.ndarray] = []
     for shard in samples:
-        values, tallies = _shard_arrays(shard._counts)
+        values, tallies = shard.columnar_view()
         survivors = coins.binomial_survivors(
             tallies, shard.threshold / target
         )
         alive = survivors > 0
-        for value, count in zip(
-            values[alive].tolist(), survivors[alive].tolist(), strict=True
-        ):
-            union[value] += count
-    merged._counts = dict(union)
-    merged._footprint = sum(
-        1 if c == 1 else 2 for c in union.values()
+        shard_values.append(values[alive])
+        shard_survivors.append(survivors[alive])
+    union, first, slots = np.unique(
+        np.concatenate(shard_values), return_index=True, return_inverse=True
     )
-    merged._sample_size = sum(union.values())
-    merged._threshold = float(target)
-    merged._inserted = sum(s.total_inserted for s in samples)
-    if target > 1.0:
-        merged._admission.raise_threshold(float(target))
-    if merged._footprint > merged.footprint_bound:
-        merged._shrink(batch=True)
+    totals = np.zeros(len(union), dtype=np.int64)
+    np.add.at(totals, slots, np.concatenate(shard_survivors))
+    # Runs keep the order in which the shards first present each value.
+    order = np.argsort(first)
+    merged._adopt(
+        union[order],
+        totals[order],
+        target,
+        sum(s.total_inserted for s in samples),
+    )
     if obs_probe.PROBE is not None:
         obs_probe.PROBE.on_merge(ConciseSample.SNAPSHOT_KIND, len(samples))
     return merged
@@ -148,7 +140,7 @@ def merge_counting(
     coins = merged._coins()
     union: Counter[int] = Counter()
     for shard in samples:
-        values, tallies = _shard_arrays(shard._counts)
+        values, tallies = shard.columnar_view()
         if target > shard.threshold:
             new_counts = subsample_tail_counts(
                 tallies,

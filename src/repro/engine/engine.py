@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.concise import ConciseSample
+from repro.core.counting import CountingSample
 from repro.core.reservoir import ReservoirSample
 from repro.engine import answering
 from repro.engine.answering import NoSynopsisError
@@ -288,7 +289,7 @@ class ApproximateAnswerEngine:
         self,
         relation: str,
         attribute: str,
-        sample: ConciseSample | ReservoirSample,
+        sample: ConciseSample | CountingSample | ReservoirSample,
     ) -> None:
         """Register a uniform-sample synopsis for aggregates."""
         self.registry.register(relation, attribute, SAMPLE, sample)

@@ -50,6 +50,50 @@ class TestConstruction:
             ConciseSample.from_state({1: 1}, 0.5, footprint_bound=4)
 
 
+class TestSlotInvariants:
+    """check_invariants catches a slot map that disagrees with the arrays."""
+
+    @staticmethod
+    def _sample():
+        sample = ConciseSample(64, seed=1)
+        sample.insert_array(np.asarray([4, 4, 8, 15, 16, 16, 23], np.int64))
+        sample.check_invariants()
+        return sample
+
+    def test_slot_points_at_other_value(self):
+        sample = self._sample()
+        sample._slot[4], sample._slot[8] = sample._slot[8], sample._slot[4]
+        with pytest.raises(SynopsisError, match="slot map"):
+            sample.check_invariants()
+
+    def test_map_size_differs_from_live_length(self):
+        sample = self._sample()
+        del sample._slot[15]
+        with pytest.raises(SynopsisError, match="slot map"):
+            sample.check_invariants()
+
+    def test_repeated_value(self):
+        sample = self._sample()
+        sample._values[sample._slot[8]] = 4
+        with pytest.raises(SynopsisError, match="more than one slot"):
+            sample.check_invariants()
+
+    def test_zero_live_count(self):
+        sample = self._sample()
+        sample._counts[sample._slot[23]] = 0
+        with pytest.raises(SynopsisError, match="non-positive"):
+            sample.check_invariants()
+
+    def test_slots_follow_first_admission_order(self):
+        sample = ConciseSample(64, seed=1)
+        for value in [9, 2, 9, 5]:
+            sample.insert(value)
+        sample.insert_array(np.asarray([7, 2, 1], np.int64))
+        values, counts = sample.columnar_view()
+        assert values.tolist() == [9, 2, 5, 1, 7]
+        assert counts.tolist() == [2, 2, 1, 1, 1]
+
+
 class TestRepresentation:
     def test_startup_keeps_everything(self):
         """At threshold 1 every insert enters the sample."""

@@ -857,7 +857,7 @@ class TestMutationAcceptance:
         target = live_copy / "src" / "repro" / "core" / "concise.py"
         original = target.read_text(encoding="utf-8")
         lines = _mutate_lines(target, r"^\s*self\._columnar = None$")
-        assert len(lines) == 4, "concise.py invalidation lines moved"
+        assert len(lines) == 3, "concise.py invalidation lines moved"
         try:
             for line_number in lines:
                 target.write_text(

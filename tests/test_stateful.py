@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -19,7 +20,9 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.concise import ConciseSample
 from repro.core.counting import CountingSample
+from repro.core.merge import merge_concise
 from repro.engine.relation import Relation
 from repro.stats.frequency import FrequencyTable
 
@@ -69,6 +72,116 @@ class CountingSampleMachine(RuleBasedStateMachine):
     def footprint_bounded(self):
         assert self.sample.footprint <= 16
         self.sample.check_invariants()
+
+
+CONCISE_BOUND = 8
+
+
+class ConciseSampleMachine(RuleBasedStateMachine):
+    """Two ConciseSamples vs exact models of what each has observed.
+
+    After every step each sample's ``columnar_view()`` equals its
+    ``as_dict()`` pairs as a multiset, every sampled value was observed
+    at least as often as it is sampled, the slot map agrees with the
+    arrays, and a view taken before the step is byte-identical after
+    it (a handed-out view never changes under its holder).
+    """
+
+    @initialize(seed=st.integers(min_value=0, max_value=2**16))
+    def setup(self, seed):
+        self.seed = seed
+        self.samples = [
+            ConciseSample(CONCISE_BOUND, seed=seed + i) for i in range(2)
+        ]
+        self.models: list[Counter[int]] = [Counter(), Counter()]
+        self.fresh = 1000
+        self.held: list[tuple[np.ndarray, np.ndarray, bytes, bytes]] = []
+
+    @rule(which=st.integers(0, 1), value=values)
+    def insert(self, which, value):
+        self.samples[which].insert(value)
+        self.models[which][value] += 1
+
+    @rule(which=st.integers(0, 1), batch=st.lists(values, max_size=40))
+    def insert_array(self, which, batch):
+        self.samples[which].insert_array(np.asarray(batch, np.int64))
+        self.models[which].update(batch)
+
+    @rule(which=st.integers(0, 1), batch=st.booleans())
+    def force_raise(self, which, batch):
+        """Feed fresh distinct values until the threshold rises, through
+        the per-row sweep or the vectorized one."""
+        sample = self.samples[which]
+        before = sample.threshold
+        for _ in range(10_000):
+            if sample.threshold > before:
+                break
+            if batch:
+                block = np.arange(self.fresh, self.fresh + 64, dtype=np.int64)
+                sample.insert_array(block)
+                self.models[which].update(block.tolist())
+                self.fresh += 64
+            else:
+                sample.insert(self.fresh)
+                self.models[which][self.fresh] += 1
+                self.fresh += 1
+        assert sample.threshold > before
+
+    @rule(which=st.integers(0, 1))
+    def restore(self, which):
+        sample = self.samples[which]
+        restored = ConciseSample.from_dict(
+            sample.to_dict(), seed=self.seed + 7
+        )
+        for old, new in zip(
+            sample.columnar_view(), restored.columnar_view(), strict=True
+        ):
+            assert np.array_equal(old, new)
+        self.samples[which] = restored
+
+    @rule()
+    def merge(self):
+        before = [sample.as_dict() for sample in self.samples]
+        merged = merge_concise(
+            self.samples, seed=self.seed + 11, footprint_bound=CONCISE_BOUND
+        )
+        assert [sample.as_dict() for sample in self.samples] == before
+        self.samples = [merged, ConciseSample(CONCISE_BOUND, seed=self.seed)]
+        self.models = [self.models[0] + self.models[1], Counter()]
+
+    @invariant()
+    def held_views_unchanged(self):
+        for values_view, counts_view, values_bytes, counts_bytes in self.held:
+            assert values_view.tobytes() == values_bytes
+            assert counts_view.tobytes() == counts_bytes
+        self.held = []
+        for sample in self.samples:
+            values_view, counts_view = sample.columnar_view()
+            self.held.append(
+                (
+                    values_view,
+                    counts_view,
+                    values_view.tobytes(),
+                    counts_view.tobytes(),
+                )
+            )
+
+    @invariant()
+    def view_matches_state(self):
+        for sample, model in zip(self.samples, self.models, strict=True):
+            sample.check_invariants()
+            values_view, counts_view = sample.columnar_view()
+            pairs = Counter(
+                dict(zip(values_view.tolist(), counts_view.tolist(), strict=True))
+            )
+            assert len(pairs) == len(values_view) == sample.distinct_in_sample
+            assert pairs == Counter(sample.as_dict())
+            assert sum(pairs.values()) == sample.sample_size
+            assert sample.footprint <= CONCISE_BOUND
+            assert sample.total_inserted == sum(model.values())
+            for value, count in pairs.items():
+                assert sample.count_of(value) == count
+                assert 0 < count <= model[value]
 
 
 class RelationMachine(RuleBasedStateMachine):
@@ -138,11 +251,13 @@ class FrequencyTableMachine(RuleBasedStateMachine):
 
 
 TestCountingSampleMachine = CountingSampleMachine.TestCase
+TestConciseSampleMachine = ConciseSampleMachine.TestCase
 TestRelationMachine = RelationMachine.TestCase
 TestFrequencyTableMachine = FrequencyTableMachine.TestCase
 
 for machine in (
     TestCountingSampleMachine,
+    TestConciseSampleMachine,
     TestRelationMachine,
     TestFrequencyTableMachine,
 ):
