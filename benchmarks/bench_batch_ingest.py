@@ -6,7 +6,10 @@ concise and counting samples, plus end-to-end ``DataWarehouse.load``
 vs ``load_batch`` with an engine synopsis attached.  Writes the
 measured numbers, with the CPU count, Python and NumPy versions and
 the commit they were taken on, to ``BENCH_batch_ingest.json`` at the
-repository root.
+repository root.  Each path is timed ``REPEATS`` times on a fresh
+synopsis (runs alternate between the paths), and every run is recorded
+with the median, minimum and maximum: on a small shared host one run
+can land anywhere in a wide band, so a single run shows nothing.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_batch_ingest.py``.
 """
@@ -34,6 +37,7 @@ N = 2_000 if SMOKE else 500_000
 DOMAIN = 200 if SMOKE else 50_000
 SKEW = 1.25
 FOOTPRINT = 64 if SMOKE else 1_000
+REPEATS = 1 if SMOKE else 5
 ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = (
     ROOT / "bench_out" / "BENCH_batch_ingest.json"
@@ -58,72 +62,71 @@ def _commit() -> str:
     return result.stdout.strip() if result.returncode == 0 else "unknown"
 
 
-def _timed(build, ingest, stream) -> dict:
+def _rate(ingest, build, stream) -> float:
+    """Rows per second of one ``ingest`` into a freshly built synopsis."""
     synopsis = build()
     start = perf_counter()
     ingest(synopsis, stream)
-    elapsed = perf_counter() - start
+    return len(stream) / (perf_counter() - start)
+
+
+def _summary(rates: list[float]) -> dict:
     return {
-        "seconds": round(elapsed, 4),
-        "rows_per_second": round(len(stream) / elapsed),
+        "runs": [round(rate) for rate in rates],
+        "median_rows_per_second": round(float(np.median(rates))),
+        "min_rows_per_second": round(min(rates)),
+        "max_rows_per_second": round(max(rates)),
     }
+
+
+def _paired(per_row, batch, build, stream) -> dict:
+    """Alternate the two paths ``REPEATS`` times and summarise each."""
+    rates: dict[str, list[float]] = {"per_row": [], "batch": []}
+    for _ in range(REPEATS):
+        rates["per_row"].append(_rate(per_row, build, stream))
+        rates["batch"].append(_rate(batch, build, stream))
+    result = {path: _summary(runs) for path, runs in rates.items()}
+    result["batch_speedup"] = round(
+        result["batch"]["median_rows_per_second"]
+        / result["per_row"]["median_rows_per_second"],
+        2,
+    )
+    return result
 
 
 def bench_core_sample(make, stream) -> dict:
-    per_row = _timed(
-        make,
+    return _paired(
         lambda s, values: s.insert_many(values.tolist()),
+        lambda s, values: s.insert_array(values),
+        make,
         stream,
     )
-    batch = _timed(
-        make, lambda s, values: s.insert_array(values), stream
-    )
-    return {
-        "per_row": per_row,
-        "batch": batch,
-        "batch_speedup": round(
-            per_row["seconds"] / batch["seconds"], 2
-        ),
-    }
 
 
 def bench_warehouse(stream) -> dict:
     stores = np.ones(len(stream), dtype=np.int64)
+    rows = list(zip(stores.tolist(), stream.tolist(), strict=True))
 
-    def build(seed):
+    def build():
         warehouse = DataWarehouse()
         warehouse.create_relation("sales", ["store", "item"])
         engine = ApproximateAnswerEngine(warehouse)
         engine.register_sample(
-            "sales", "item", ConciseSample(FOOTPRINT, seed=seed)
+            "sales", "item", ConciseSample(FOOTPRINT, seed=10)
         )
         engine.register_sample(
-            "sales", "store", CountingSample(FOOTPRINT, seed=seed + 1)
+            "sales", "store", CountingSample(FOOTPRINT, seed=11)
         )
         return warehouse
 
-    warehouse = build(10)
-    rows = list(zip(stores.tolist(), stream.tolist(), strict=True))
-    start = perf_counter()
-    warehouse.load("sales", rows)
-    per_row_seconds = perf_counter() - start
-
-    warehouse = build(20)
-    start = perf_counter()
-    warehouse.load_batch("sales", {"store": stores, "item": stream})
-    batch_seconds = perf_counter() - start
-
-    return {
-        "per_row": {
-            "seconds": round(per_row_seconds, 4),
-            "rows_per_second": round(len(stream) / per_row_seconds),
-        },
-        "batch": {
-            "seconds": round(batch_seconds, 4),
-            "rows_per_second": round(len(stream) / batch_seconds),
-        },
-        "batch_speedup": round(per_row_seconds / batch_seconds, 2),
-    }
+    return _paired(
+        lambda warehouse, _: warehouse.load("sales", rows),
+        lambda warehouse, values: warehouse.load_batch(
+            "sales", {"store": stores, "item": values}
+        ),
+        build,
+        stream,
+    )
 
 
 def main() -> dict:
@@ -135,6 +138,7 @@ def main() -> dict:
             "domain": DOMAIN,
             "zipf_skew": SKEW,
             "footprint_bound": FOOTPRINT,
+            "repeats": REPEATS,
             "cpu_cores": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,

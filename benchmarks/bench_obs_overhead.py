@@ -97,7 +97,9 @@ def compare_to_baseline(results: dict) -> dict:
     comparison: dict = {"available": True}
     for sample_kind in ("concise", "counting"):
         for path_name in ("per_row", "batch"):
-            before = baseline[sample_kind][path_name]["rows_per_second"]
+            before = baseline[sample_kind][path_name][
+                "median_rows_per_second"
+            ]
             after = results[sample_kind][path_name]["noop"][
                 "rows_per_second"
             ]

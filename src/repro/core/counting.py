@@ -16,35 +16,26 @@ further coins at ``1/tau'``, decrementing the count on each tails until
 a heads or zero (Theorem 5 proves correctness).  Deletions simply
 decrement (Theorem 5 again), which is the decisive advantage over
 concise samples.
+
+The representation, its bookkeeping and the raise loop are shared with
+concise samples (:class:`~repro.core.pairs.PairSample`); this module
+holds the counting sample's admission rule, its two threshold-raise
+sweeps, and deletion.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Any, ClassVar, Iterator, Mapping
+from typing import ClassVar
 
 import numpy as np
 
-from repro.core.base import (
-    SNAPSHOT_FORMAT_VERSION,
-    StreamSynopsis,
-    SynopsisError,
-)
-from repro.core.thresholds import MultiplicativeRaise, ThresholdPolicy
+from repro.core.pairs import PairSample
+from repro.core.thresholds import ThresholdPolicy
 from repro.obs import probe as obs_probe
-from repro.randkit.coins import CostCounters, GeometricSkipper
-from repro.randkit.rng import ReproRandom
-from repro.randkit.vectorized import VectorCoins
+from repro.randkit.coins import CostCounters
 
 __all__ = ["CountingSample", "subsample_tail_counts"]
-
-# Batch chunking mirrors ConciseSample's: admit roughly a quarter of
-# the footprint bound per chunk before checking for a shrink, with
-# chunks doubling while no shrink triggers and resetting on a raise.
-_CHUNK_DIVISOR = 4
-_MIN_CHUNK = 256
-_MAX_CHUNK_GROWTH = 1024
 
 
 def subsample_tail_counts(
@@ -82,7 +73,7 @@ def subsample_tail_counts(
     return np.where(keep, counts, counts - removed)
 
 
-class CountingSample(StreamSynopsis):
+class CountingSample(PairSample):
     """A counting sample maintained within a fixed footprint bound.
 
     Parameters mirror :class:`~repro.core.concise.ConciseSample`.
@@ -101,58 +92,14 @@ class CountingSample(StreamSynopsis):
 
     SNAPSHOT_KIND: ClassVar[str] = "counting-sample"
 
-    def __init__(
-        self,
-        footprint_bound: int,
-        *,
-        seed: int | None = None,
-        policy: ThresholdPolicy | None = None,
-        counters: CostCounters | None = None,
-    ) -> None:
-        super().__init__(counters)
-        if footprint_bound < 2:
-            raise SynopsisError("footprint_bound must be at least 2")
-        self.footprint_bound = footprint_bound
-        self.policy = policy if policy is not None else MultiplicativeRaise()
-        self._rng = ReproRandom(seed)
-        self._counts: dict[int, int] = {}
-        self._footprint = 0
-        self._threshold = 1.0
-        self._inserted = 0
-        self._deleted = 0
-        # The admission skipper advances one step per *absent-value*
-        # insert event; each such event is an independent 1/tau coin.
-        self._admission = GeometricSkipper(self._rng, self.counters, 1.0)
-        # Vectorized randomness for the batch path; created lazily so
-        # per-element-only runs consume the same RNG stream as before.
-        self._vector_coins: VectorCoins | None = None
-        # Memoized (values, counts) arrays for the answer path; reset
-        # to None by every mutation of ``_counts``.
-        self._columnar: tuple[np.ndarray, np.ndarray] | None = None
-
     # ------------------------------------------------------------------
     # State inspection
     # ------------------------------------------------------------------
 
     @property
-    def threshold(self) -> float:
-        """Current entry threshold ``tau``."""
-        return self._threshold
-
-    @property
-    def footprint(self) -> int:
-        """Words used: one per singleton, two per ``(value, count)`` pair."""
-        return self._footprint
-
-    @property
-    def distinct_in_sample(self) -> int:
-        """Number of distinct values currently in the sample."""
-        return len(self._counts)
-
-    @property
     def total_count(self) -> int:
         """Sum of all observed counts in the sample."""
-        return sum(self._counts.values())
+        return self._total
 
     @property
     def total_inserted(self) -> int:
@@ -164,181 +111,67 @@ class CountingSample(StreamSynopsis):
         """
         return self._inserted - self._deleted
 
-    def __contains__(self, value: int) -> bool:
-        return value in self._counts
-
     def __repr__(self) -> str:
         return (
             f"CountingSample(footprint={self._footprint}/"
-            f"{self.footprint_bound}, distinct={len(self._counts)}, "
+            f"{self.footprint_bound}, distinct={self._size}, "
             f"threshold={self._threshold:.3f})"
         )
-
-    def count_of(self, value: int) -> int:
-        """The observed count of ``value`` (0 if absent)."""
-        return self._counts.get(value, 0)
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Iterate ``(value, observed count)`` for every value present."""
-        return iter(self._counts.items())
-
-    def as_dict(self) -> dict[int, int]:
-        """A copy of the sample as ``{value: observed count}``."""
-        return dict(self._counts)
-
-    def count_histogram(self) -> Mapping[int, int]:
-        """Map from observed count to the number of values with it."""
-        return Counter(self._counts.values())
-
-    def columnar_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Parallel ``(values, counts)`` int64 arrays of the sample.
-
-        Built once and memoized until the next mutation; the arrays
-        are shared across calls and marked read-only.
-        """
-        view = self._columnar
-        if view is None:
-            size = len(self._counts)
-            values = np.fromiter(self._counts.keys(), np.int64, size)
-            counts = np.fromiter(self._counts.values(), np.int64, size)
-            values.setflags(write=False)
-            counts.setflags(write=False)
-            view = (values, counts)
-            self._columnar = view
-        return view
-
-    def bit_footprint(self, value_bits: int = 32) -> int:
-        """Footprint in bits under variable-length count encoding
-        (paper footnote 3)."""
-        from repro.core.footprint import bit_footprint
-
-        return bit_footprint(self._counts, value_bits)
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 
     def insert(self, value: int) -> None:
-        """Observe one warehouse insert of ``value``."""
-        self.counters.inserts += 1
+        """Observe one warehouse insert of ``value``.
+
+        A present value is counted (no randomness); an absent value is
+        admitted with probability ``1/tau``.
+        """
+        counters = self.counters
+        counters.inserts += 1
+        counters.lookups += 1
         self._inserted += 1
-        self.counters.lookups += 1
-        count = self._counts.get(value, 0)
-        if count > 0:
-            self._counts[value] = count + 1
-            self._columnar = None
-            if count == 1:
-                # Singleton becomes a (value, count) pair.
-                self._footprint += 1
-                if self._footprint > self.footprint_bound:
-                    self._shrink()
+        slot = self._slot.get(value)
+        if slot is not None:
+            if self._bump(slot) and self._footprint > self.footprint_bound:
+                self._shrink()
             return
         if not self._admission.offer():
             return
-        self._counts[value] = 1
-        self._footprint += 1
-        self._columnar = None
+        self._append(value)
         if obs_probe.PROBE is not None:
             obs_probe.PROBE.on_admission(self.SNAPSHOT_KIND, 1)
         if self._footprint > self.footprint_bound:
             self._shrink()
 
-    def insert_array(self, values: np.ndarray) -> None:
-        """Vectorized bulk insertion.
+    def _admit_chunk(self, chunk: np.ndarray) -> None:
+        """Count present values and admit absent ones, in bulk.
 
         A counting sample cannot skip stream elements -- present values
-        must be counted exactly -- but it *can* aggregate them: each
-        chunk is reduced with one ``np.unique``, occurrences of
-        already-present values are added to their counts in bulk, and
+        must be counted exactly -- but it *can* aggregate them: the
+        chunk is reduced with one ``np.unique``, occurrences of present
+        values are added to their counts through an index array, and
         absent values draw their whole admission tail as one geometric
-        array op (count = occurrences - pre-admission failures).  The
-        Python-level loop runs only over distinct present values and
-        newly admitted ones, not the stream.  Threshold raises are
-        applied between chunks via the Theorem-5 subsample, which
-        preserves the counting-sample law.
+        array op (count = occurrences - pre-admission failures).
         """
-        n = len(values)
-        if n == 0:
-            return
-        values = np.asarray(values)
-        position = 0
-        growth = 1
-        while position < n:
-            chunk_len = min(
-                n - position, self._chunk_length() * growth
-            )
-            raises_before = self.counters.threshold_raises
-            self._ingest_chunk(values[position : position + chunk_len])
-            position += chunk_len
-            if self.counters.threshold_raises == raises_before:
-                growth = min(growth * 2, _MAX_CHUNK_GROWTH)
-            else:
-                growth = 1
-
-    def _coins(self) -> VectorCoins:
-        if self._vector_coins is None:
-            self._vector_coins = VectorCoins(
-                self._rng.numpy_generator(), self.counters
-            )
-        return self._vector_coins
-
-    def _chunk_length(self) -> int:
-        expected = self.footprint_bound * max(1.0, self._threshold)
-        return max(_MIN_CHUNK, int(expected) // _CHUNK_DIVISOR)
-
-    def _ingest_chunk(self, chunk: np.ndarray) -> None:
-        chunk_len = len(chunk)
-        self.counters.inserts += chunk_len
-        self._inserted += chunk_len
         uniq, occurrences = np.unique(chunk, return_counts=True)
         # One hash probe per distinct value in the chunk (the batch
         # economy the per-element path cannot have).
         self.counters.lookups += len(uniq)
-        counts_dict = self._counts
-        if counts_dict:
-            keys = np.fromiter(
-                counts_dict.keys(), np.int64, len(counts_dict)
+        slots = self._slots_of(uniq)
+        absent = slots < 0
+        added = occurrences
+        if self._threshold > 1.0 and absent.any():
+            added = occurrences.copy()
+            added[absent] = self._coins().admission_survivors(
+                1.0 / self._threshold, occurrences[absent]
             )
-            present = np.isin(uniq, keys, assume_unique=True)
-        else:
-            present = np.zeros(len(uniq), dtype=bool)
-        footprint = self._footprint
-        # Present values: every occurrence is counted, no randomness.
-        for value, count in zip(
-            uniq[present].tolist(),
-            occurrences[present].tolist(),
-            strict=True,
-        ):
-            current = counts_dict[value]
-            counts_dict[value] = current + count
-            if current == 1:
-                footprint += 1
-        # Absent values: the whole admission tail in one array draw.
-        absent_values = uniq[~present]
-        if absent_values.size:
-            absent_occurrences = occurrences[~present]
-            if self._threshold <= 1.0:
-                surviving = absent_occurrences
-            else:
-                surviving = self._coins().admission_survivors(
-                    1.0 / self._threshold, absent_occurrences
-                )
-            admitted = surviving > 0
-            for value, count in zip(
-                absent_values[admitted].tolist(),
-                surviving[admitted].tolist(),
-                strict=True,
-            ):
-                counts_dict[value] = count
-                footprint += 1 if count == 1 else 2
-            if obs_probe.PROBE is not None and admitted.any():
-                obs_probe.PROBE.on_admission(
-                    self.SNAPSHOT_KIND, int(np.count_nonzero(admitted))
-                )
-        self._footprint = footprint
-        self._columnar = None
-        if footprint > self.footprint_bound:
-            self._shrink(batch=True)
+        self._fold(uniq, added, slots)
+        if obs_probe.PROBE is not None:
+            admitted = int(np.count_nonzero(added[absent] > 0))
+            if admitted:
+                obs_probe.PROBE.on_admission(self.SNAPSHOT_KIND, admitted)
 
     def delete(self, value: int) -> None:
         """Observe one warehouse delete of ``value``.
@@ -350,33 +183,13 @@ class CountingSample(StreamSynopsis):
         self.counters.deletes += 1
         self._deleted += 1
         self.counters.lookups += 1
-        count = self._counts.get(value, 0)
-        if count == 0:
-            return
-        self._columnar = None
-        if count == 1:
-            del self._counts[value]
-            self._footprint -= 1
-        else:
-            self._counts[value] = count - 1
-            if count == 2:
-                # Pair reverts to a singleton.
-                self._footprint -= 1
+        slot = self._slot.get(value)
+        if slot is not None:
+            self._remove(slot)
 
-    def _shrink(self, batch: bool = False) -> None:
-        """Raise the threshold until the footprint is within bound."""
-        while self._footprint > self.footprint_bound:
-            new_threshold = self.policy.next_threshold(self)
-            if new_threshold <= self._threshold:
-                raise SynopsisError(
-                    "threshold policy failed to raise the threshold"
-                )
-            if batch:
-                self._evict_to_batch(new_threshold)
-            else:
-                self._evict_to(new_threshold)
-
-    def _evict_to(self, new_threshold: float) -> None:
+    def _thinned(
+        self, counts: np.ndarray, new_threshold: float
+    ) -> np.ndarray:
         """Re-run every value's admission tail at the stricter threshold.
 
         For each value: first coin heads with probability
@@ -385,14 +198,10 @@ class CountingSample(StreamSynopsis):
         zero.  The tails run is drawn in closed form (a geometric),
         so the cost is O(1) flips per value.
         """
-        self.counters.threshold_raises += 1
-        old_threshold = self._threshold
-        size_before = (
-            self.total_count if obs_probe.PROBE is not None else 0
-        )
         keep_probability = self._threshold / new_threshold
         tail_log = math.log1p(-1.0 / new_threshold)
-        for value in list(self._counts):
+        thinned = counts.tolist()
+        for index, count in enumerate(thinned):
             # One uniform drives the whole per-value decision: its
             # position below/above keep_probability is the first coin,
             # and conditioned on tails, the renormalised remainder is a
@@ -401,7 +210,6 @@ class CountingSample(StreamSynopsis):
             u = self._rng.uniform()
             if u < keep_probability:
                 continue
-            count = self._counts[value]
             removed = 1
             remaining = count - 1
             if remaining > 0:
@@ -416,62 +224,25 @@ class CountingSample(StreamSynopsis):
                 else:
                     tails = int(math.log(conditional) / tail_log)
                 removed += min(tails, remaining)
-            new_count = count - removed
-            if new_count == 0:
-                del self._counts[value]
-                self._footprint -= 2 if count >= 2 else 1
-            else:
-                self._counts[value] = new_count
-                if new_count == 1 and count >= 2:
-                    self._footprint -= 1
-        self._columnar = None
-        self._threshold = new_threshold
-        self._admission.raise_threshold(new_threshold)
-        if obs_probe.PROBE is not None:
-            obs_probe.PROBE.on_threshold_raise(
-                self.SNAPSHOT_KIND,
-                old_threshold,
-                new_threshold,
-                size_before,
-                self.total_count,
-            )
+            thinned[index] = count - removed
+        return np.array(thinned, dtype=np.int64)
 
-    def _evict_to_batch(self, new_threshold: float) -> None:
+    def _thinned_batch(
+        self, counts: np.ndarray, new_threshold: float
+    ) -> np.ndarray:
         """Vectorized threshold raise: all admission tails in one op.
 
-        Semantically identical to :meth:`_evict_to` -- one uniform per
+        Semantically identical to :meth:`_thinned` -- one uniform per
         value drives the keep/tail decision -- but the uniforms are
         drawn as one array and the tail inversion runs in numpy via
         :func:`subsample_tail_counts`.
         """
-        self.counters.threshold_raises += 1
-        old_threshold = self._threshold
-        values, counts = self.columnar_view()
-        new_counts = subsample_tail_counts(
+        return subsample_tail_counts(
             counts,
             self._threshold / new_threshold,
             new_threshold,
             self._coins().uniforms(counts.size),
         )
-        alive = new_counts > 0
-        self._counts = dict(
-            zip(values[alive].tolist(), new_counts[alive].tolist(), strict=True)
-        )
-        self._columnar = None
-        self._footprint = int(
-            np.count_nonzero(new_counts == 1)
-            + 2 * np.count_nonzero(new_counts >= 2)
-        )
-        self._threshold = new_threshold
-        self._admission.raise_threshold(new_threshold)
-        if obs_probe.PROBE is not None:
-            obs_probe.PROBE.on_threshold_raise(
-                self.SNAPSHOT_KIND,
-                old_threshold,
-                new_threshold,
-                int(counts.sum()),
-                int(new_counts.sum()),
-            )
 
     @classmethod
     def merge(
@@ -494,88 +265,9 @@ class CountingSample(StreamSynopsis):
             counters=counters,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        """Dump to a JSON-able snapshot dict (paper footnote 2).
-
-        Restoring with :meth:`from_dict` is *statistically* equivalent,
-        not bitwise: the restored sample carries the same counts,
-        threshold, and counters, but a fresh RNG stream (Theorem 5's
-        argument is over the invariant state, not the generator).
-        """
-        if obs_probe.PROBE is not None:
-            obs_probe.PROBE.on_snapshot(self.SNAPSHOT_KIND, "dump")
+    def _stream_totals(self) -> dict[str, int]:
+        """The stream lengths a snapshot records: inserts and deletes."""
         return {
-            "kind": self.SNAPSHOT_KIND,
-            "format_version": SNAPSHOT_FORMAT_VERSION,
-            "footprint_bound": self.footprint_bound,
-            "threshold": self._threshold,
-            "counts": [
-                [value, count] for value, count in self._counts.items()
-            ],
             "total_inserted": self._inserted,
             "total_deleted": self._deleted,
-            "counters": self.counters.to_dict(),
         }
-
-    @classmethod
-    def from_dict(
-        cls,
-        payload: Mapping[str, Any],
-        *,
-        seed: int | None = None,
-    ) -> "CountingSample":
-        """Rebuild a sample from :meth:`to_dict` output.
-
-        ``seed`` re-seeds the restored object's randomness
-        (continuation runs should pass a fresh seed; tests may pin
-        one).
-        """
-        if payload["kind"] != cls.SNAPSHOT_KIND:
-            raise SynopsisError(
-                f"snapshot kind {payload['kind']!r} is not a counting sample"
-            )
-        version = int(payload.get("format_version", 0))
-        if version > SNAPSHOT_FORMAT_VERSION:
-            raise SynopsisError(
-                f"snapshot format {version} is newer than this build "
-                f"reads (up to {SNAPSHOT_FORMAT_VERSION})"
-            )
-        counters = CostCounters.from_dict(payload["counters"])
-        # Build on a throwaway ledger so the admission skipper's
-        # threshold redraw is not charged to the restored counters,
-        # then swap the saved ledger in.
-        sample = cls(int(payload["footprint_bound"]), seed=seed)
-        for value, count in payload["counts"]:
-            sample._counts[int(value)] = int(count)
-            sample._footprint += 1 if count == 1 else 2
-        threshold = float(payload["threshold"])
-        sample._threshold = threshold
-        # Older snapshots predate the per-synopsis stream totals and
-        # used the shared ledger's operation counts instead.
-        sample._inserted = int(
-            payload.get("total_inserted", counters.inserts)
-        )
-        sample._deleted = int(
-            payload.get("total_deleted", counters.deletes)
-        )
-        if threshold > 1.0:
-            sample._admission.raise_threshold(threshold)
-        sample.counters = counters
-        sample._admission._counters = counters
-        sample.check_invariants()
-        if obs_probe.PROBE is not None:
-            obs_probe.PROBE.on_snapshot(cls.SNAPSHOT_KIND, "restore")
-        return sample
-
-    def check_invariants(self) -> None:
-        """Recompute bookkeeping from the raw state; raise on drift."""
-        footprint = sum(1 if c == 1 else 2 for c in self._counts.values())
-        if footprint != self._footprint:
-            raise SynopsisError(
-                f"footprint drift: stored {self._footprint}, "
-                f"actual {footprint}"
-            )
-        if self._footprint > self.footprint_bound:
-            raise SynopsisError("footprint exceeds its bound")
-        if any(c <= 0 for c in self._counts.values()):
-            raise SynopsisError("non-positive observed count")

@@ -26,19 +26,88 @@ first (:func:`repro.core.convert.counting_to_concise`) and use
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro.core.base import SynopsisError
 from repro.core.concise import ConciseSample
 from repro.core.counting import CountingSample, subsample_tail_counts
+from repro.core.pairs import PairSample
 from repro.core.thresholds import ThresholdPolicy
 from repro.obs import probe as obs_probe
 from repro.randkit.coins import CostCounters
+from repro.randkit.vectorized import VectorCoins
 
 __all__ = ["merge_concise", "merge_counting"]
+
+_Sample = TypeVar("_Sample", bound=PairSample)
+# Thins one shard's counts from its threshold to the merge target.
+_Thin = Callable[[VectorCoins, np.ndarray, float, float], np.ndarray]
+
+
+def _merged(
+    cls: type[_Sample],
+    samples: Sequence[_Sample],
+    thin: _Thin,
+    seed: int | None,
+    footprint_bound: int | None,
+    policy: ThresholdPolicy | None,
+    counters: CostCounters | None,
+) -> _Sample:
+    """Thin every shard to the largest shard threshold and sum the
+    survivors per value, in the order the shards first present them."""
+    if not samples:
+        raise SynopsisError("merge requires at least one sample")
+    bound = (
+        footprint_bound
+        if footprint_bound is not None
+        else max(s.footprint_bound for s in samples)
+    )
+    target = max(s.threshold for s in samples)
+    merged = cls(bound, seed=seed, policy=policy, counters=counters)
+    coins = merged._coins()
+    shard_values: list[np.ndarray] = []
+    shard_counts: list[np.ndarray] = []
+    for shard in samples:
+        values, tallies = shard.columnar_view()
+        shard_values.append(values)
+        shard_counts.append(thin(coins, tallies, shard.threshold, target))
+    merged_values = np.concatenate(shard_values)
+    merged_counts = np.concatenate(shard_counts)
+    alive = merged_counts > 0
+    union, first, slots = np.unique(
+        merged_values[alive], return_index=True, return_inverse=True
+    )
+    totals = np.zeros(len(union), dtype=np.int64)
+    np.add.at(totals, slots, merged_counts[alive])
+    order = np.argsort(first)
+    merged._adopt(
+        union[order],
+        totals[order],
+        target,
+        sum(s._inserted for s in samples),
+        sum(s._deleted for s in samples),
+    )
+    if obs_probe.PROBE is not None:
+        obs_probe.PROBE.on_merge(cls.SNAPSHOT_KIND, len(samples))
+    return merged
+
+
+def _binomial_thin(
+    coins: VectorCoins, counts: np.ndarray, threshold: float, target: float
+) -> np.ndarray:
+    return coins.binomial_survivors(counts, threshold / target)
+
+
+def _tail_thin(
+    coins: VectorCoins, counts: np.ndarray, threshold: float, target: float
+) -> np.ndarray:
+    if target <= threshold:
+        return counts
+    return subsample_tail_counts(
+        counts, threshold / target, target, coins.uniforms(len(counts))
+    )
 
 
 def merge_concise(
@@ -70,44 +139,9 @@ def merge_concise(
     policy, counters:
         As for :class:`~repro.core.concise.ConciseSample`.
     """
-    if not samples:
-        raise SynopsisError("merge requires at least one sample")
-    bound = (
-        footprint_bound
-        if footprint_bound is not None
-        else max(s.footprint_bound for s in samples)
+    return _merged(
+        ConciseSample, samples, _binomial_thin, seed, footprint_bound, policy, counters
     )
-    target = max(s.threshold for s in samples)
-    merged = ConciseSample(
-        bound, seed=seed, policy=policy, counters=counters
-    )
-    coins = merged._coins()
-    shard_values: list[np.ndarray] = []
-    shard_survivors: list[np.ndarray] = []
-    for shard in samples:
-        values, tallies = shard.columnar_view()
-        survivors = coins.binomial_survivors(
-            tallies, shard.threshold / target
-        )
-        alive = survivors > 0
-        shard_values.append(values[alive])
-        shard_survivors.append(survivors[alive])
-    union, first, slots = np.unique(
-        np.concatenate(shard_values), return_index=True, return_inverse=True
-    )
-    totals = np.zeros(len(union), dtype=np.int64)
-    np.add.at(totals, slots, np.concatenate(shard_survivors))
-    # Runs keep the order in which the shards first present each value.
-    order = np.argsort(first)
-    merged._adopt(
-        union[order],
-        totals[order],
-        target,
-        sum(s.total_inserted for s in samples),
-    )
-    if obs_probe.PROBE is not None:
-        obs_probe.PROBE.on_merge(ConciseSample.SNAPSHOT_KIND, len(samples))
-    return merged
 
 
 def merge_counting(
@@ -126,48 +160,6 @@ def merge_counting(
     for the admission-delay caveat versus a single-stream sample.
     The input shards are not modified.
     """
-    if not samples:
-        raise SynopsisError("merge requires at least one sample")
-    bound = (
-        footprint_bound
-        if footprint_bound is not None
-        else max(s.footprint_bound for s in samples)
+    return _merged(
+        CountingSample, samples, _tail_thin, seed, footprint_bound, policy, counters
     )
-    target = max(s.threshold for s in samples)
-    merged = CountingSample(
-        bound, seed=seed, policy=policy, counters=counters
-    )
-    coins = merged._coins()
-    union: Counter[int] = Counter()
-    for shard in samples:
-        values, tallies = shard.columnar_view()
-        if target > shard.threshold:
-            new_counts = subsample_tail_counts(
-                tallies,
-                shard.threshold / target,
-                target,
-                coins.uniforms(len(tallies)),
-            )
-        else:
-            new_counts = tallies
-        alive = new_counts > 0
-        for value, count in zip(
-            values[alive].tolist(), new_counts[alive].tolist(), strict=True
-        ):
-            union[value] += count
-    merged._counts = dict(union)
-    merged._footprint = sum(
-        1 if c == 1 else 2 for c in union.values()
-    )
-    merged._threshold = float(target)
-    merged._inserted = sum(s._inserted for s in samples)
-    merged._deleted = sum(s._deleted for s in samples)
-    if target > 1.0:
-        merged._admission.raise_threshold(float(target))
-    if merged._footprint > merged.footprint_bound:
-        merged._shrink(batch=True)
-    if obs_probe.PROBE is not None:
-        obs_probe.PROBE.on_merge(
-            CountingSample.SNAPSHOT_KIND, len(samples)
-        )
-    return merged

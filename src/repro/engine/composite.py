@@ -59,8 +59,8 @@ def encode_composite_array(
 
     Only pairs fit: the sentinel bit plus two 24-bit components needs
     49 bits, within int64; three components need 73 and would
-    overflow.  Raises :class:`ValueError` for arity >= 3 so callers
-    can fall back to the per-row Python-int encoding.
+    overflow.  Raises :class:`ValueError` for arity >= 3, which the
+    engine's composite hot lists never register.
     """
     if len(components) < 2:
         raise ValueError("a composite needs at least two components")

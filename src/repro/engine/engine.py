@@ -208,30 +208,15 @@ class ApproximateAnswerEngine:
         for attributes in self._composites.get(relation_name, []):
             from repro.engine.composite import (
                 composite_name,
-                encode_composite,
                 encode_composite_array,
             )
 
-            parts = tuple(
-                columns[attribute] for attribute in attributes
+            encoded = encode_composite_array(
+                tuple(columns[attribute] for attribute in attributes)
             )
-            name = composite_name(attributes)
-            try:
-                encoded = encode_composite_array(parts)
-            except ValueError:
-                # Wider-than-pair tuples overflow int64: encode row by
-                # row with Python bigints and use the per-row path.
-                for row in zip(*(part.tolist() for part in parts), strict=True):
-                    self._forward(
-                        relation_name,
-                        name,
-                        encode_composite(
-                            tuple(int(value) for value in row)
-                        ),
-                        True,
-                    )
-                continue
-            self._forward_batch(relation_name, name, encoded)
+            self._forward_batch(
+                relation_name, composite_name(attributes), encoded
+            )
 
     def _forward_batch(
         self,
@@ -341,10 +326,17 @@ class ApproximateAnswerEngine:
         Returns the canonical attribute name under which the composite
         is addressable in queries, e.g. ``"store_id+product_id"``.
         Answers carry encoded values; decode them with
-        :func:`repro.engine.composite.decode_composite_answer`.
+        :func:`repro.engine.composite.decode_composite_answer`.  Only
+        attribute pairs are accepted: a wider tuple's packed code
+        overflows the int64 values the samples hold.
         """
         from repro.engine.composite import composite_name
 
+        if len(attributes) > 2:
+            raise ValueError(
+                "a composite hot list covers at most two attributes "
+                "(wider tuples overflow the samples' int64 values)"
+            )
         table = self.warehouse.relation(relation)
         for attribute in attributes:
             table.attribute_index(attribute)  # validates existence

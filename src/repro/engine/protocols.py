@@ -18,7 +18,7 @@ __all__ = ["DistinctSketch", "Histogram"]
 
 @runtime_checkable
 class DistinctSketch(Protocol):
-    """A COUNT DISTINCT estimator (FM, linear counting, Morris, ...).
+    """A COUNT DISTINCT estimator (such as the FM sketch).
 
     Observes each loaded value via :meth:`insert` and answers with one
     number from :meth:`estimate`; ``footprint`` feeds the registry's

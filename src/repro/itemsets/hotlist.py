@@ -65,6 +65,16 @@ class ItemsetHotList:
             footprint_bound, seed=seed, policy=policy, counters=counters
         )
         self._baskets_observed = 0
+        # The sample holds int64 values, but a packed itemset outgrows
+        # int64 from k = 3 (24 bits per item).  So the sample counts
+        # small keys: each itemset it holds has one, and an itemset it
+        # does not hold is offered under a key it has never seen.  A
+        # counting sample admits every absent value by the same 1/tau
+        # coin whatever the value, so this is the sample, and the
+        # random stream, it would have over the packed itemsets.
+        self._key_of: dict[int, int] = {}
+        self._itemset_of: dict[int, int] = {}
+        self._next_key = 0
 
     @property
     def footprint(self) -> int:
@@ -90,7 +100,30 @@ class ItemsetHotList:
         if len(items) < self.itemset_size:
             return
         for itemset in combinations(items, self.itemset_size):
-            self.sample.insert(encode_itemset(itemset))
+            self._offer(encode_itemset(itemset))
+
+    def _offer(self, encoded: int) -> None:
+        """One occurrence of a packed itemset."""
+        sample = self.sample
+        key = self._key_of.get(encoded)
+        if key is not None and key in sample:
+            sample.insert(key)
+            return
+        key = self._next_key
+        self._next_key += 1
+        sample.insert(key)
+        if key not in sample:
+            return
+        self._key_of[encoded] = key
+        self._itemset_of[key] = encoded
+        if len(self._itemset_of) > 2 * sample.distinct_in_sample + 64:
+            # Drop the keys of itemsets the sample has since evicted.
+            self._itemset_of = {
+                held: self._itemset_of[held] for held, _ in sample.pairs()
+            }
+            self._key_of = {
+                packed: held for held, packed in self._itemset_of.items()
+            }
 
     def observe_many(self, baskets: Iterable[tuple[int, ...]]) -> None:
         """Process a stream of baskets in order."""
@@ -100,8 +133,8 @@ class ItemsetHotList:
     def estimated_count(self, itemset: tuple[int, ...]) -> float:
         """Compensated occurrence estimate for one itemset (0 if the
         itemset is not in the synopsis)."""
-        encoded = encode_itemset(tuple(sorted(itemset)))
-        count = self.sample.count_of(encoded)
+        key = self._key_of.get(encode_itemset(tuple(sorted(itemset))))
+        count = 0 if key is None else self.sample.count_of(key)
         if count == 0:
             return 0.0
         threshold = self.sample.threshold
@@ -117,7 +150,9 @@ class ItemsetHotList:
         """
         if k < 1:
             raise ValueError("k must be positive")
-        counts = self.sample.as_dict()
+        counts = {
+            self._itemset_of[key]: count for key, count in self.sample.pairs()
+        }
         if not counts:
             return HotListAnswer(k=k)
         threshold = self.sample.threshold

@@ -5,36 +5,22 @@ statistics" -- concise and counting samples are the paper's new ones,
 and this package supplies the classical synopses the paper builds on or
 cites for context, so the engine is a usable approximate-query system:
 
-* :class:`~repro.synopses.morris.MorrisCounter` -- approximate event
-  counting in loglog space [Mor78, Fla85].
 * :class:`~repro.synopses.fm.FlajoletMartinSketch` -- probabilistic
   distinct-value counting [FM85].
-* :class:`~repro.synopses.linear_counting.LinearCounter` -- linear-time
-  probabilistic counting [WVZT90].
-* :class:`~repro.synopses.ams.AmsF2Sketch` -- the tug-of-war second
-  frequency moment sketch [AMS96].
 * equi-depth, Compressed and high-biased histograms
   [GMP97b, PIHS96, IC93] for range-selectivity estimation.
 """
 
-from repro.synopses.ams import AmsF2Sketch
-from repro.synopses.ams_fk import AmsFkEstimator
 from repro.synopses.fm import FlajoletMartinSketch
 from repro.synopses.histogram_compressed import CompressedHistogram
 from repro.synopses.histogram_equidepth import EquiDepthHistogram
 from repro.synopses.histogram_highbiased import HighBiasedHistogram
 from repro.synopses.histogram_vopt import VOptimalHistogram
-from repro.synopses.linear_counting import LinearCounter
-from repro.synopses.morris import MorrisCounter
 
 __all__ = [
-    "AmsF2Sketch",
-    "AmsFkEstimator",
     "CompressedHistogram",
     "EquiDepthHistogram",
     "FlajoletMartinSketch",
     "HighBiasedHistogram",
-    "LinearCounter",
-    "MorrisCounter",
     "VOptimalHistogram",
 ]

@@ -2,8 +2,8 @@
 
 Carter-Wegman multiply-mod-prime hashing over the Mersenne prime
 ``2^61 - 1``: pairwise independent, cheap, and reproducible from a
-seed.  Four-wise independence (needed by the AMS sign hash) is obtained
-from a degree-3 polynomial over the same prime.
+seed.  Four-wise independence (what a random-sign sketch needs) is
+obtained from a degree-3 polynomial over the same prime.
 """
 
 from __future__ import annotations

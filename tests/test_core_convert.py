@@ -71,10 +71,9 @@ class TestConversion:
 
     def test_resampled_counts_match_binomial_mean(self):
         """E[concise count] = 1 + (c - 1)/tau for a pair of count c."""
-        counting = CountingSample(10, seed=16)
-        counting._counts = {1: 500}
-        counting._footprint = 2
-        counting._threshold = 10.0
+        state = CountingSample(10, seed=16).to_dict()
+        state.update(threshold=10.0, counts=[[1, 500]])
+        counting = CountingSample.from_dict(state, seed=16)
         draws = [
             counting_to_concise(counting, seed=1000 + trial).count_of(1)
             for trial in range(300)

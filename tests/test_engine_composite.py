@@ -128,3 +128,16 @@ class TestEngineIntegration:
                 ("store", "product"),
                 CountingHotList(50, seed=4),
             )
+
+    def test_wider_than_pair_composite_rejected(self):
+        warehouse = DataWarehouse()
+        warehouse.create_relation("sales", ["store", "product", "day"])
+        engine = ApproximateAnswerEngine(warehouse)
+        with pytest.raises(ValueError, match="at most two attributes"):
+            engine.register_composite_hotlist(
+                "sales",
+                ("store", "product", "day"),
+                CountingHotList(50, seed=5),
+            )
+        # Nothing was registered, so loads still go through.
+        warehouse.load("sales", [(1, 2, 3)])

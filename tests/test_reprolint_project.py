@@ -854,10 +854,16 @@ class TestMutationAcceptance:
     def test_every_columnar_reset_is_load_bearing(
         self, live_copy: Path
     ) -> None:
-        target = live_copy / "src" / "repro" / "core" / "concise.py"
+        core = live_copy / "src" / "repro" / "core"
+        reset = r"^\s*self\._columnar = None$"
+        # Both sample kinds mutate their arrays only through the
+        # shared slot primitives, so every reset lives in pairs.py.
+        for kind in ("concise.py", "counting.py"):
+            assert _mutate_lines(core / kind, reset) == [], kind
+        target = core / "pairs.py"
         original = target.read_text(encoding="utf-8")
-        lines = _mutate_lines(target, r"^\s*self\._columnar = None$")
-        assert len(lines) == 3, "concise.py invalidation lines moved"
+        lines = _mutate_lines(target, reset)
+        assert len(lines) == 6, "pairs.py invalidation lines moved"
         try:
             for line_number in lines:
                 target.write_text(
@@ -866,7 +872,7 @@ class TestMutationAcceptance:
                 )
                 findings = list(analyze_paths([live_copy / "src"]))
                 assert "RL013" in codes(findings), (
-                    f"deleting concise.py:{line_number} went unnoticed"
+                    f"deleting pairs.py:{line_number} went unnoticed"
                 )
         finally:
             target.write_text(original, encoding="utf-8")

@@ -22,11 +22,14 @@ from hypothesis.stateful import (
 
 from repro.core.concise import ConciseSample
 from repro.core.counting import CountingSample
-from repro.core.merge import merge_concise
+from repro.core.merge import merge_concise, merge_counting
 from repro.engine.relation import Relation
 from repro.stats.frequency import FrequencyTable
 
 values = st.integers(min_value=1, max_value=30)
+
+
+COUNTING_BOUND = 16
 
 
 class CountingSampleMachine(RuleBasedStateMachine):
@@ -34,18 +37,28 @@ class CountingSampleMachine(RuleBasedStateMachine):
 
     Checked properties: counts never exceed live frequencies, the
     footprint never exceeds its bound, internal bookkeeping stays
-    consistent, and absent-value deletes are no-ops.
+    consistent, and absent-value deletes are no-ops.  After every step
+    ``columnar_view()`` equals ``as_dict()`` as a multiset, and a view
+    taken before the step is byte-identical after it.
     """
 
     @initialize(seed=st.integers(min_value=0, max_value=2**16))
     def setup(self, seed):
-        self.sample = CountingSample(16, seed=seed)
+        self.seed = seed
+        self.sample = CountingSample(COUNTING_BOUND, seed=seed)
         self.live: Counter[int] = Counter()
+        self.fresh = 1000
+        self.held: list[tuple[np.ndarray, np.ndarray, bytes, bytes]] = []
 
     @rule(value=values)
     def insert(self, value):
         self.sample.insert(value)
         self.live[value] += 1
+
+    @rule(batch=st.lists(values, max_size=40))
+    def insert_array(self, batch):
+        self.sample.insert_array(np.asarray(batch, np.int64))
+        self.live.update(batch)
 
     @rule(value=values)
     def delete_if_live(self, value):
@@ -63,6 +76,59 @@ class CountingSampleMachine(RuleBasedStateMachine):
             self.live[value] -= 1
             assert self.sample.as_dict() == before
 
+    @rule(batch=st.booleans())
+    def force_raise(self, batch):
+        """Feed fresh distinct values until the threshold rises, through
+        the per-row sweep or the vectorized one."""
+        sample = self.sample
+        before = sample.threshold
+        for _ in range(10_000):
+            if sample.threshold > before:
+                break
+            if batch:
+                block = np.arange(self.fresh, self.fresh + 64, dtype=np.int64)
+                sample.insert_array(block)
+                self.live.update(block.tolist())
+                self.fresh += 64
+            else:
+                sample.insert(self.fresh)
+                self.live[self.fresh] += 1
+                self.fresh += 1
+        assert sample.threshold > before
+
+    @rule()
+    def restore(self):
+        restored = CountingSample.from_dict(
+            self.sample.to_dict(), seed=self.seed + 7
+        )
+        for old, new in zip(
+            self.sample.columnar_view(),
+            restored.columnar_view(),
+            strict=True,
+        ):
+            assert np.array_equal(old, new)
+        assert restored.total_inserted == self.sample.total_inserted
+        self.sample = restored
+
+    @rule(batch=st.lists(values, max_size=40))
+    def merge(self, batch):
+        """Merge with a shard that observed ``batch``; the live model is
+        the union of both streams."""
+        shard = CountingSample(COUNTING_BOUND, seed=self.seed + 3)
+        shard.insert_array(np.asarray(batch, np.int64))
+        before = [self.sample.as_dict(), shard.as_dict()]
+        merged = merge_counting(
+            [self.sample, shard],
+            seed=self.seed + 11,
+            footprint_bound=COUNTING_BOUND,
+        )
+        assert [self.sample.as_dict(), shard.as_dict()] == before
+        assert merged.threshold >= max(
+            self.sample.threshold, shard.threshold
+        )
+        self.sample = merged
+        self.live.update(batch)
+
     @invariant()
     def counts_bounded_by_live(self):
         for value, count in self.sample.pairs():
@@ -70,8 +136,36 @@ class CountingSampleMachine(RuleBasedStateMachine):
 
     @invariant()
     def footprint_bounded(self):
-        assert self.sample.footprint <= 16
+        assert self.sample.footprint <= COUNTING_BOUND
         self.sample.check_invariants()
+
+    @invariant()
+    def held_views_unchanged(self):
+        for values_view, counts_view, values_bytes, counts_bytes in self.held:
+            assert values_view.tobytes() == values_bytes
+            assert counts_view.tobytes() == counts_bytes
+        values_view, counts_view = self.sample.columnar_view()
+        self.held = [
+            (
+                values_view,
+                counts_view,
+                values_view.tobytes(),
+                counts_view.tobytes(),
+            )
+        ]
+
+    @invariant()
+    def view_matches_state(self):
+        values_view, counts_view = self.sample.columnar_view()
+        pairs = Counter(
+            dict(zip(values_view.tolist(), counts_view.tolist(), strict=True))
+        )
+        assert len(pairs) == len(values_view) == self.sample.distinct_in_sample
+        assert pairs == Counter(self.sample.as_dict())
+        assert sum(pairs.values()) == self.sample.total_count
+        assert self.sample.total_inserted == sum(self.live.values())
+        for value, count in pairs.items():
+            assert self.sample.count_of(value) == count
 
 
 CONCISE_BOUND = 8

@@ -1,67 +1,11 @@
-"""Unit tests for the counting sketches (Morris, FM, linear, AMS)."""
+"""Unit tests for the Flajolet-Martin distinct-count sketch."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.base import SynopsisError
-from repro.stats.frequency import frequency_moment
-from repro.synopses.ams import AmsF2Sketch
 from repro.synopses.fm import FlajoletMartinSketch
-from repro.synopses.linear_counting import LinearCounter
-from repro.synopses.morris import MorrisCounter
-from repro.streams import zipf_stream
-
-
-class TestMorrisCounter:
-    def test_rejects_base_at_most_one(self):
-        with pytest.raises(SynopsisError):
-            MorrisCounter(base=1.0)
-
-    def test_estimate_zero_initially(self):
-        assert MorrisCounter(seed=1).estimate() == 0.0
-
-    def test_register_grows_logarithmically(self):
-        counter = MorrisCounter(base=2.0, seed=2)
-        for _ in range(10_000):
-            counter.increment()
-        assert counter.register < 20  # ~ lg(10000) + noise
-        assert counter.register_bits <= 5
-
-    def test_estimate_unbiased_across_trials(self):
-        n = 2000
-        estimates = []
-        for trial in range(200):
-            counter = MorrisCounter(base=2.0, seed=trial)
-            for _ in range(n):
-                counter.increment()
-            estimates.append(counter.estimate())
-        assert np.mean(estimates) == pytest.approx(n, rel=0.15)
-
-    def test_smaller_base_more_accurate(self):
-        n = 5000
-        errors = {}
-        for base in (1.05, 2.0):
-            trial_errors = []
-            for trial in range(60):
-                counter = MorrisCounter(base=base, seed=1000 + trial)
-                for _ in range(n):
-                    counter.increment()
-                trial_errors.append(abs(counter.estimate() - n) / n)
-            errors[base] = np.mean(trial_errors)
-        assert errors[1.05] < errors[2.0]
-
-    def test_relative_standard_deviation_formula(self):
-        assert MorrisCounter(base=2.0).relative_standard_deviation() == (
-            pytest.approx(np.sqrt(0.5))
-        )
-
-    def test_stream_interface(self):
-        counter = MorrisCounter(seed=3)
-        counter.insert(42)
-        assert counter.counters.inserts == 1
-        assert counter.footprint == 1
 
 
 class TestFlajoletMartin:
@@ -118,74 +62,3 @@ class TestFlajoletMartin:
             FlajoletMartinSketch(0)
         with pytest.raises(SynopsisError):
             FlajoletMartinSketch(8, bits_per_group=4)
-
-
-class TestLinearCounter:
-    def test_exact_regime_accuracy(self):
-        distinct = 1000
-        counter = LinearCounter(bitmap_bits=8192, seed=1)
-        for value in range(distinct):
-            counter.insert(value)
-            counter.insert(value)  # duplicates free
-        assert counter.estimate() == pytest.approx(distinct, rel=0.1)
-
-    def test_saturation_raises(self):
-        counter = LinearCounter(bitmap_bits=8, seed=2)
-        for value in range(10_000):
-            counter.insert(value)
-        assert counter.saturated
-        with pytest.raises(SynopsisError):
-            counter.estimate()
-
-    def test_zero_fraction(self):
-        counter = LinearCounter(bitmap_bits=64, seed=3)
-        assert counter.zero_fraction == 1.0
-        counter.insert(1)
-        assert counter.zero_fraction == pytest.approx(63 / 64)
-
-    def test_footprint_in_words(self):
-        assert LinearCounter(bitmap_bits=128, seed=4).footprint == 2
-        assert LinearCounter(bitmap_bits=100, seed=4).footprint == 2
-
-    def test_rejects_tiny_bitmap(self):
-        with pytest.raises(SynopsisError):
-            LinearCounter(bitmap_bits=4)
-
-    def test_empty_estimate_zero(self):
-        assert LinearCounter(bitmap_bits=64, seed=5).estimate() == 0.0
-
-
-class TestAmsF2:
-    def test_estimate_accuracy(self):
-        stream = zipf_stream(5000, 200, 1.0, seed=1)
-        sketch = AmsF2Sketch(rows=5, columns=48, seed=2)
-        for value in stream.tolist():
-            sketch.insert(value)
-        truth = frequency_moment(stream, 2)
-        assert sketch.estimate() == pytest.approx(truth, rel=0.35)
-
-    def test_deletion_support(self):
-        """Insert then delete everything: the sketch returns to zero."""
-        sketch = AmsF2Sketch(rows=3, columns=8, seed=3)
-        values = [1, 5, 5, 9]
-        for value in values:
-            sketch.insert(value)
-        for value in values:
-            sketch.delete(value)
-        assert sketch.estimate() == 0.0
-
-    def test_single_value_exact(self):
-        """One value with count c: every estimator reads c^2 exactly."""
-        sketch = AmsF2Sketch(rows=3, columns=4, seed=4)
-        for _ in range(7):
-            sketch.insert(42)
-        assert sketch.estimate() == pytest.approx(49.0)
-
-    def test_footprint(self):
-        assert AmsF2Sketch(rows=5, columns=64, seed=5).footprint == 320
-
-    def test_validation(self):
-        with pytest.raises(SynopsisError):
-            AmsF2Sketch(rows=0, columns=4)
-        with pytest.raises(SynopsisError):
-            AmsF2Sketch(rows=4, columns=0)
