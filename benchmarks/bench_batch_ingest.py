@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import os
 import platform
-import subprocess
 from pathlib import Path
 
 import numpy as np
 
+from common import commit
 from repro.core import ConciseSample, CountingSample
 from repro.engine import ApproximateAnswerEngine, DataWarehouse
 from repro.obs.clock import perf_counter
@@ -44,22 +44,6 @@ RESULT_PATH = (
     if SMOKE
     else ROOT / "BENCH_batch_ingest.json"
 )
-
-
-def _commit() -> str:
-    """The checkout's commit (``-dirty`` with uncommitted changes)."""
-    try:
-        result = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return result.stdout.strip() if result.returncode == 0 else "unknown"
 
 
 def _rate(ingest, build, stream) -> float:
@@ -142,7 +126,7 @@ def main() -> dict:
             "cpu_cores": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "commit": _commit(),
+            "commit": commit(),
         },
         "concise": bench_core_sample(
             lambda: ConciseSample(FOOTPRINT, seed=2), stream

@@ -7,9 +7,12 @@ stream under several checkpoint intervals (plus a no-checkpoint
 baseline that replays the whole log), crashes by abandoning the live
 side, and times recovery -- snapshot load plus suffix replay.
 
-Recovery is read-only, so its timing takes the best of ``REPEATS``
-runs (best-of defeats scheduler noise); ingest and checkpoint costs
-are measured once per interval.  Writes ``BENCH_recovery.json`` at the
+Each interval runs ``REPEATS`` times, each run on a fresh store, and
+every run's ingest, checkpoint and recovery times are recorded with
+their median, minimum and maximum: on a small shared host one run can
+land anywhere in a wide band, so a single run shows nothing.  Writes
+the numbers, with the CPU count, Python and NumPy versions and the
+commit they were taken on, to ``BENCH_recovery.json`` at the
 repository root.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_recovery.py``.
@@ -19,10 +22,14 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from common import commit
 from repro.core import CountingSample
 from repro.engine import DataWarehouse
 from repro.obs.clock import perf_counter
@@ -39,7 +46,7 @@ SYNC_EVERY = 8  # group commit: one fsync per 8 appends
 # Chosen so the crash leaves a growing WAL suffix to replay (N mod
 # interval = 16, 784, 1000, 3000); None = never checkpoint (full log).
 INTERVALS = (100, None) if SMOKE else (256, 1_024, 3_000, 7_000, None)
-REPEATS = 1 if SMOKE else 3
+REPEATS = 1 if SMOKE else 5
 ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = (
     ROOT / "bench_out" / "BENCH_recovery.json"
@@ -71,47 +78,55 @@ def ingest(root: Path, stream, interval: int | None) -> dict:
             manager.checkpoint()
             checkpoint_seconds += perf_counter() - checkpoint_start
             checkpoints += 1
-    elapsed = perf_counter() - start
     # Crash: abandon without detaching.  Every acknowledged group is
     # already at its fsync point; recovery picks up from disk.
     return {
-        "ingest_seconds": round(elapsed, 4),
-        "ops_per_second": round(N / elapsed),
+        "ingest_seconds": perf_counter() - start,
         "checkpoints": checkpoints,
-        "checkpoint_seconds_total": round(checkpoint_seconds, 4),
+        "checkpoint_seconds_total": checkpoint_seconds,
     }
 
 
-def time_recovery(root: Path) -> tuple[float, object]:
-    best = float("inf")
-    state = None
-    for _ in range(REPEATS):
-        manager = RecoveryManager(CheckpointStore(root))
+def run_once(stream, interval: int | None) -> dict:
+    """Ingest on a fresh store, crash, and time one recovery."""
+    root = Path(tempfile.mkdtemp(prefix="bench-recovery-"))
+    try:
+        run = ingest(root / "state", stream, interval)
+        manager = RecoveryManager(CheckpointStore(root / "state"))
         start = perf_counter()
         state = manager.recover(seed=3)
-        best = min(best, perf_counter() - start)
-    return best, state
+        run["recovery_seconds"] = perf_counter() - start
+        assert state.sequence == N
+        run["replayed_operations"] = state.replayed
+        return run
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def _summary(seconds: list[float]) -> dict:
+    return {
+        "runs": [round(value, 4) for value in seconds],
+        "median": round(float(np.median(seconds)), 4),
+        "min": round(min(seconds), 4),
+        "max": round(max(seconds), 4),
+    }
 
 
 def bench_interval(stream, interval: int | None) -> dict:
-    root = Path(tempfile.mkdtemp(prefix="bench-recovery-"))
-    try:
-        costs = ingest(root / "state", stream, interval)
-        recovery_seconds, state = time_recovery(root / "state")
-        assert state.sequence == N
-        return {
-            "checkpoint_interval": interval,
-            **costs,
-            "recovery_seconds": round(recovery_seconds, 4),
-            "replayed_operations": state.replayed,
-            "replayed_per_second": round(
-                state.replayed / recovery_seconds
+    runs = [run_once(stream, interval) for _ in range(REPEATS)]
+    return {
+        "checkpoint_interval": interval,
+        "checkpoints": runs[0]["checkpoints"],
+        "replayed_operations": runs[0]["replayed_operations"],
+        **{
+            key: _summary([run[key] for run in runs])
+            for key in (
+                "ingest_seconds",
+                "checkpoint_seconds_total",
+                "recovery_seconds",
             )
-            if state.replayed
-            else 0,
-        }
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+        },
+    }
 
 
 def main() -> dict:
@@ -124,6 +139,10 @@ def main() -> dict:
             "footprint_bound": FOOTPRINT,
             "sync_every": SYNC_EVERY,
             "repeats": REPEATS,
+            "cpu_cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "commit": commit(),
         },
         "intervals": [
             bench_interval(stream, interval) for interval in INTERVALS

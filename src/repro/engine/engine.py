@@ -45,7 +45,7 @@ from repro.engine.responses import QueryResponse
 from repro.engine.warehouse import DataWarehouse
 from repro.hotlist.base import HotListAnswer, HotListReporter
 from repro.obs.audit import CalibrationAuditor
-from repro.obs.tracing import ActiveTrace, QueryTracer
+from repro.obs.tracing import ActiveTrace, Tracer
 from repro.stats.frequency import FrequencyTable
 
 if TYPE_CHECKING:
@@ -87,11 +87,12 @@ class ApproximateAnswerEngine:
     budget_words:
         Optional total memory budget for all registered synopses.
     tracer:
-        Optional :class:`~repro.obs.tracing.QueryTracer`; when set
-        (at construction or later via the ``tracer`` attribute) every
-        :meth:`answer` call is recorded as a query span.  The engine
-        never reads a clock itself -- timing lives entirely in the
-        tracer.
+        Optional :class:`~repro.obs.tracing.Tracer`; when set (at
+        construction or later via the ``tracer`` attribute) every
+        :meth:`answer` call is recorded as a query span; an
+        :class:`~repro.serving.server.AQPServer` over this engine
+        traces exactly when it is set.  The engine never reads a
+        clock itself -- timing lives entirely in the tracer.
     cache:
         Optional :class:`~repro.engine.cache.QueryResultCache`; when
         set, approximate answers are memoized and invalidated by the
@@ -116,7 +117,7 @@ class ApproximateAnswerEngine:
         warehouse: DataWarehouse,
         budget_words: int | None = None,
         *,
-        tracer: QueryTracer | None = None,
+        tracer: Tracer | None = None,
         cache: QueryResultCache | None = None,
         auditor: CalibrationAuditor | None = None,
         conservative_intervals: bool = False,
@@ -404,7 +405,13 @@ class ApproximateAnswerEngine:
     # Query answering
     # ------------------------------------------------------------------
 
-    def answer(self, query: Query, exact: bool = False) -> QueryResponse:
+    def answer(
+        self,
+        query: Query,
+        exact: bool = False,
+        *,
+        trace: ActiveTrace | None = None,
+    ) -> QueryResponse:
         """Answer a query, approximately by default.
 
         With ``exact=True`` the base data is scanned (and the response
@@ -419,45 +426,43 @@ class ApproximateAnswerEngine:
         one query span (including errors, which are re-raised), with
         the cache outcome on the span and child spans for the cache
         lookup, synopsis answering, exact fallback, and audit shadow
-        phases.  When an auditor is attached, approximate answers may
-        additionally be shadowed with the exact path and scored.
+        phases; a caller holding an open query ``trace`` (the server)
+        hands it in, and the engine records into it instead of opening
+        a root of its own.  When an auditor is attached, approximate
+        answers may additionally be shadowed with the exact path and
+        scored.
         """
-        tracer = self.tracer
-        trace = tracer.start_trace() if tracer is not None else None
+        root = None
+        if trace is None and self.tracer is not None:
+            trace = root = self.tracer.start_trace()
         cache_status: str | None = None
         try:
             if exact:
-                if tracer is not None and trace is not None:
-                    with tracer.child(trace, "exact_fallback"):
+                if trace is not None:
+                    with trace.child("exact_fallback"):
                         response = self._answer_exact(query)
                 else:
                     response = self._answer_exact(query)
             else:
                 response, cache_status = self._answer_with_cache(
-                    query, tracer, trace
+                    query, trace
                 )
-                self._maybe_audit(query, response, tracer, trace)
-        except Exception as error:
-            if tracer is not None and trace is not None:
-                tracer.finish_error(
-                    trace, query, error, requested_exact=exact
+                self._maybe_audit(query, response, trace)
+            if trace is not None:
+                trace.record_query(
+                    query, response, requested_exact=exact, cache=cache_status
                 )
+        except BaseException as error:
+            if trace is not None:
+                trace.record_query(query, error=error, requested_exact=exact)
             raise
-        if tracer is not None and trace is not None:
-            tracer.finish(
-                trace,
-                query,
-                response,
-                requested_exact=exact,
-                cache=cache_status,
-            )
+        finally:
+            if root is not None:
+                root.finish()
         return response
 
     def _answer_with_cache(
-        self,
-        query: Query,
-        tracer: QueryTracer | None,
-        trace: ActiveTrace | None,
+        self, query: Query, trace: ActiveTrace | None
     ) -> tuple[QueryResponse, str | None]:
         """The approximate path, through the cache when one is attached.
 
@@ -467,21 +472,21 @@ class ApproximateAnswerEngine:
         the ``cache_lookup`` child).
         """
         if self.cache is None:
-            if tracer is not None and trace is not None:
-                with tracer.child(trace, "synopsis_answer"):
+            if trace is not None:
+                with trace.child("synopsis_answer"):
                     return self._answer_approximate(query), None
             return self._answer_approximate(query), None
         epochs = self._epoch_token(query)
-        if tracer is not None and trace is not None:
-            with tracer.child(trace, "cache_lookup") as scope:
+        if trace is not None:
+            with trace.child("cache_lookup") as scope:
                 cached, outcome = self.cache.lookup(query, epochs)
                 scope.status = outcome
         else:
             cached, outcome = self.cache.lookup(query, epochs)
         if cached is not None:
             return cached, "hit"
-        if tracer is not None and trace is not None:
-            with tracer.child(trace, "synopsis_answer"):
+        if trace is not None:
+            with trace.child("synopsis_answer"):
                 response = self._answer_approximate(query)
         else:
             response = self._answer_approximate(query)
@@ -492,7 +497,6 @@ class ApproximateAnswerEngine:
         self,
         query: Query,
         response: QueryResponse,
-        tracer: QueryTracer | None,
         trace: ActiveTrace | None,
     ) -> None:
         """Shadow this answer with the exact path if the auditor says so.
@@ -503,8 +507,8 @@ class ApproximateAnswerEngine:
         auditor = self.auditor
         if auditor is None or not auditor.should_audit(query):
             return
-        if tracer is not None and trace is not None:
-            with tracer.child(trace, "audit_shadow") as scope:
+        if trace is not None:
+            with trace.child("audit_shadow") as scope:
                 observation = auditor.shadow(
                     query, response, self._answer_exact
                 )

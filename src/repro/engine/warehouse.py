@@ -27,7 +27,8 @@ LoadObserver = Callable[[str, tuple, bool], None]
 # attribute name to a whole numpy array of that attribute's values for
 # the batch; :meth:`DataWarehouse.load_batch` calls it once per batch
 # instead of once per row.  Plain callables still receive the per-row
-# fallback, so row-oriented observers (the operation log) keep working.
+# fallback: tests' lambdas and ``bench_recovery``'s per-row tap are the
+# observers it serves.
 
 
 class DataWarehouse:
@@ -143,8 +144,8 @@ class DataWarehouse:
         The columnar fast path: the relation is updated with one
         ``np.unique`` and batch-capable observers (those exposing
         ``observe_batch``) receive the whole batch in one call.
-        Row-oriented observers fall back to one callback per row, so
-        the operation-log / deletion flow is unaffected.
+        Plain-callable observers (tests' lambdas, ``bench_recovery``'s
+        per-row tap) fall back to one callback per row.
         """
         relation = self.relation(relation_name)
         normalised = relation.insert_batch(columns)

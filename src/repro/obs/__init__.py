@@ -11,9 +11,12 @@ O(1) flip/lookup rates of Tables 1-2 -- become runtime-watchable here:
   merges, snapshot/restore).
 * :mod:`repro.obs.instruments` -- scrape-time collectors mirroring
   synopsis state and ``CostCounters`` ledgers into labelled series.
-* :mod:`repro.obs.tracing` -- one span tree per engine query:
-  answering synopsis, estimator latency, error bounds, exact-fallback
-  decisions, plus child spans for the cache/synopsis/audit phases.
+* :mod:`repro.obs.tracing` -- one span record and one tracer for
+  every traced op: a root span per query (answering synopsis, latency,
+  error bounds, exact-fallback decision), checkpoint or recovery
+  (duration, replay length, torn-tail repair), with child spans for
+  the queue-wait/cache/synopsis/exact/audit phases.  A served query
+  is one trace: the server opens the root, the engine adds its phases.
 * :mod:`repro.obs.audit` -- calibration auditing: a seeded fraction
   of approximate answers is shadowed with the exact path and scored
   against the claimed interval (``repro_audit_*`` series).
@@ -21,8 +24,6 @@ O(1) flip/lookup rates of Tables 1-2 -- become runtime-watchable here:
   JSONL writer, fed by the tracer's single-export ``drain()``.
 * :mod:`repro.obs.report` -- the ``python -m repro.obs report``
   plain-text health report over snapshots and trace files.
-* :mod:`repro.obs.recovery` -- one span per checkpoint or recovery
-  run: durations, replay lengths, torn-tail repairs.
 * :mod:`repro.obs.load` -- warehouse load-stream throughput metering.
 * :mod:`repro.obs.exposition` -- Prometheus text and JSON rendering.
 * :mod:`repro.obs.clock` -- the repository's only direct wall-clock
@@ -34,14 +35,15 @@ Typical setup::
 
     registry = obs.enable()                    # metrics + probe on
     obs.watch_synopsis(registry, sample, "sales.item")
-    tracer = obs.QueryTracer(registry)
+    tracer = obs.Tracer(registry)
     engine = ApproximateAnswerEngine(warehouse, tracer=tracer)
     ...
     print(obs.render_prometheus(registry))
     obs.disable()
 
-``python -m repro.obs`` dumps or tails a live registry over an
-example workload; ``--selftest`` asserts the exposition round-trip.
+``python -m repro.obs --selftest`` asserts the exposition round-trip
+over an example workload; ``python -m repro.obs report`` renders the
+health report from exported files.
 """
 
 from __future__ import annotations
@@ -66,21 +68,14 @@ from repro.obs.metrics import (
 )
 from repro.obs.audit import AuditObservation, CalibrationAuditor
 from repro.obs.probe import MetricsProbe
-from repro.obs.recovery import RecoverySpan, RecoveryTracer
 from repro.obs.report import histogram_quantile, render_health_report
 from repro.obs.sink import TraceSink, read_trace_file, span_tree
-from repro.obs.tracing import (
-    ActiveTrace,
-    ChildSpan,
-    QuerySpan,
-    QueryTracer,
-)
+from repro.obs.tracing import ActiveTrace, Span, Tracer
 
 __all__ = [
     "ActiveTrace",
     "AuditObservation",
     "CalibrationAuditor",
-    "ChildSpan",
     "Clock",
     "Counter",
     "FakeClock",
@@ -91,11 +86,9 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "ObservedSynopsis",
-    "QuerySpan",
-    "QueryTracer",
-    "RecoverySpan",
-    "RecoveryTracer",
+    "Span",
     "TraceSink",
+    "Tracer",
     "disable",
     "enable",
     "get_registry",

@@ -63,7 +63,7 @@ def build_workload(
 
     loader = obs.MeteredLoadObserver(registry)
     warehouse.add_observer(loader)
-    tracer = obs.QueryTracer(registry)
+    tracer = obs.Tracer(registry)
     engine.tracer = tracer
 
     return {
@@ -157,7 +157,7 @@ def selftest(rows: int, seed: int) -> int:
         spans = workload["tracer"].spans()
         if len(spans) != 4:
             failures.append(f"expected 4 query spans, got {len(spans)}")
-        if not any(span.is_exact for span in spans):
+        if not any(span.fields["is_exact"] for span in spans):
             failures.append("no exact-fallback span recorded")
 
         # Calibration audit: every approximate answer was shadowed

@@ -504,6 +504,21 @@ def _unrecognized_series(
     )
 
 
+def _root_label(record: Mapping[str, Any]) -> str:
+    """What a root span traced: a query's target, or a persist event.
+
+    Trace files written before roots carried a ``name`` hold query
+    roots only, so a missing name reads as ``"query"``.
+    """
+    kind = str(record.get("name", "query"))
+    if kind == "query":
+        return (
+            f"{record.get('query', '?')} on "
+            f"{record.get('relation', '?')}.{record.get('attribute', '?')}"
+        )
+    return f"{kind} at sequence {record.get('sequence', '?')}"
+
+
 def _trace_section(traces: Sequence[Mapping[str, Any]]) -> list[str]:
     roots = [
         record for record in traces if record.get("parent_id") is None
@@ -516,13 +531,24 @@ def _trace_section(traces: Sequence[Mapping[str, Any]]) -> list[str]:
     lines = [
         f"  {len(roots)} root span(s), {len(children)} child span(s)"
     ]
+    by_kind: dict[str, list[str]] = {}
+    for record in roots:
+        by_kind.setdefault(str(record.get("name", "query")), []).append(
+            str(record.get("status", "ok"))
+        )
+    for kind in sorted(by_kind):
+        statuses = by_kind[kind]
+        failed = [status for status in statuses if status != "ok"]
+        line = f"  {kind}: {len(statuses)} root(s)"
+        if failed:
+            names = ", ".join(sorted(set(failed)))
+            line += f", {len(failed)} failed ({names})"
+        lines.append(line)
     slowest = max(
         roots, key=lambda record: record.get("duration_seconds", 0.0)
     )
     lines.append(
-        "  slowest: "
-        f"{slowest.get('query', '?')} on "
-        f"{slowest.get('relation', '?')}.{slowest.get('attribute', '?')}"
+        f"  slowest: {_root_label(slowest)}"
         f" ({_fmt_seconds(slowest.get('duration_seconds'))},"
         f" trace {slowest.get('trace_id', '?')})"
     )

@@ -1,16 +1,16 @@
 """Bounded trace export: ring buffer plus JSONL file writer.
 
-:class:`TraceSink` takes whole spans off a
-:class:`~repro.obs.tracing.QueryTracer` via the single-export
-:meth:`~repro.obs.tracing.QueryTracer.drain` handoff, flattens each
-root span and its children into one JSON record per span, keeps the
-most recent records in a bounded in-process ring, and optionally
-appends them to a JSONL file.  File I/O goes through the
+:class:`TraceSink` takes whole spans -- query, checkpoint and recovery
+roots alike -- off a :class:`~repro.obs.tracing.Tracer` via the
+single-export :meth:`~repro.obs.tracing.Tracer.drain` handoff,
+flattens each root span and its children into one JSON record per
+span, keeps the most recent records in a bounded in-process ring, and
+optionally appends them to a JSONL file.  File I/O goes through the
 ``repro.persist`` filesystem helpers (RL010): the sink never calls
 ``open`` itself, and the ``repro.persist`` import is deferred to call
 time so that importing ``repro.obs`` does not drag in
-``repro.persist.recovery`` (which imports the engine back -- see the
-layering note in ``repro/obs/__init__.py``).
+``repro.persist.recovery`` (which imports the engine, and through it
+this package, back).
 
 :func:`read_trace_file` and :func:`span_tree` invert the export:
 parse the JSONL records and reassemble the one-level span trees, the
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tracing import QuerySpan, QueryTracer
+from repro.obs.tracing import Tracer
 
 if TYPE_CHECKING:
     from repro.persist.fsio import FileSystem
@@ -33,15 +33,8 @@ if TYPE_CHECKING:
 __all__ = ["TraceSink", "read_trace_file", "span_tree"]
 
 
-def _span_records(span: QuerySpan) -> list[dict[str, Any]]:
-    """One flat JSON record per span: the root, then its children."""
-    records = [span.to_dict()]
-    records.extend(child.to_dict() for child in span.children)
-    return records
-
-
 class TraceSink:
-    """Bounded collector for drained query spans.
+    """Bounded collector for drained spans.
 
     Parameters
     ----------
@@ -104,23 +97,18 @@ class TraceSink:
         """The buffered flat records, oldest first."""
         return tuple(self._ring)
 
-    def export(self, span: QuerySpan) -> int:
-        """Export one span (root + children); returns records written."""
-        return self._ingest(_span_records(span))
-
-    def drain(self, tracer: QueryTracer) -> int:
+    def drain(self, tracer: Tracer) -> int:
         """Take every buffered span off ``tracer`` and export it.
 
+        Each root and each of its children becomes one flat record.
         The tracer's ring buffer is cleared by the handoff, so a span
         is exported exactly once no matter how often ``drain`` runs.
         Returns the number of flat records exported.
         """
         records: list[dict[str, Any]] = []
         for span in tracer.drain():
-            records.extend(_span_records(span))
-        return self._ingest(records)
-
-    def _ingest(self, records: list[dict[str, Any]]) -> int:
+            records.append(span.to_dict())
+            records.extend(child.to_dict() for child in span.children)
         self._drains_total.inc()
         if not records:
             return 0

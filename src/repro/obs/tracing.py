@@ -1,24 +1,28 @@
-"""Query-path tracing for the approximate answer engine.
+"""One span record and one tracer for every traced op.
 
-One :class:`QuerySpan` per engine query, recording which synopsis
-answered it, the estimator latency, the reported error bounds and
-confidence, and whether the caller demanded the exact fallback -- the
-runtime counterpart of the paper's "decide whether or not to have an
-exact answer computed from the base data".
+The paper has two runtime decisions worth watching: Figure 1's choice
+to answer approximately or to have "an exact answer computed from the
+base data", and footnote 2's "snapshots and/or logs stored on disk".
+Both are traced here, through one :class:`Span` record and one
+:class:`Tracer`.
 
-Spans form one-level trees: every root span carries a deterministic
-``trace_id`` (a process-wide sequence, no randomness) and the engine
-attaches :class:`ChildSpan` records for the phases of an answer --
-cache lookup, synopsis answering, exact fallback, and the calibration
-audit shadow.  The ring buffer can be handed off wholesale to a
-:class:`~repro.obs.sink.TraceSink` via :meth:`QueryTracer.drain`, which
-clears it so every span is exported exactly once.
+Every op opens a *root* span named for its kind -- ``"query"``,
+``"checkpoint"`` or ``"recovery"`` -- carrying a deterministic
+``trace_id`` (a per-tracer sequence shared by all root kinds, no
+randomness) and the op's own fields.  Phases of the op are *child*
+spans under it: ``queue_wait``, ``cache_lookup``, ``synopsis_answer``,
+``exact_fallback`` and ``audit_shadow``.  A finished root updates the
+metrics exactly once and lands in the tracer's ring buffer, which
+:meth:`Tracer.drain` hands off wholesale to a
+:class:`~repro.obs.sink.TraceSink`, so every span is exported once.
 
-The engine itself never reads a clock (reprolint RL005/RL009): the
-tracer owns an injected :data:`~repro.obs.clock.Clock`; the engine
-only shuttles the opaque :class:`ActiveTrace` between
-:meth:`QueryTracer.start_trace` and :meth:`QueryTracer.finish`, and
-wraps phases in the :meth:`QueryTracer.child` context manager.
+Callers never read a clock themselves (reprolint RL005/RL009): the
+tracer owns an injected :data:`~repro.obs.clock.Clock`; callers hold
+the opaque :class:`ActiveTrace` between :meth:`Tracer.start_trace` and
+:meth:`ActiveTrace.finish`, and wrap phases in
+:meth:`ActiveTrace.child`.  A caller that already holds an open trace
+(the server, for a query request) hands it down, so one served query
+is one trace.
 """
 
 from __future__ import annotations
@@ -26,19 +30,13 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.obs import clock as obs_clock
 from repro.obs.metrics import MetricsRegistry, get_registry
 
-__all__ = [
-    "ActiveTrace",
-    "ChildScope",
-    "ChildSpan",
-    "QuerySpan",
-    "QueryTracer",
-]
+__all__ = ["ActiveTrace", "ChildScope", "Span", "Tracer"]
 
 #: Process-wide tracer instance sequence: keeps trace ids unique when
 #: several tracers drain into one sink, without any randomness (the
@@ -47,25 +45,52 @@ _TRACER_SEQUENCE = itertools.count(1)
 
 
 @dataclass(frozen=True)
-class ChildSpan:
-    """One phase of an answered query, parented under its root span.
+class Span:
+    """One traced op (a root) or one phase of it (a child).
 
-    ``name`` is one of ``"cache_lookup"``, ``"synopsis_answer"``,
-    ``"exact_fallback"``, or ``"audit_shadow"``; ``status`` is
-    ``"ok"`` unless the phase reports otherwise (cache lookups use
-    ``"hit"`` / ``"miss"`` / ``"invalidated"``, failed phases
-    ``"error"``).
+    Attributes
+    ----------
+    trace_id / span_id / parent_id:
+        Trace identity: deterministic, sequence-based ids.  Roots have
+        span id ``"<trace_id>:0"`` and ``parent_id is None``; children
+        are numbered ``1, 2, ...`` in execution order.
+    name:
+        Root kind (``"query"``, ``"checkpoint"``, ``"recovery"``) or
+        phase name.
+    duration_seconds:
+        Wall time by the tracer's injected clock.
+    status:
+        ``"ok"``, or the exception class name when the op raised.
+        Phases report their own outcome (cache lookups use ``"hit"`` /
+        ``"miss"`` / ``"invalidated"``, failed phases ``"error"``).
+    fields:
+        The op's own fields, flattened into :meth:`to_dict`.  A query
+        root has ``query, relation, attribute, method, is_exact,
+        requested_exact, answer, interval_low, interval_high,
+        confidence, exact_cost_estimate, error, cache,
+        result_cardinality, top_value, top_count``; a checkpoint or
+        recovery root has ``sequence, replayed_operations,
+        checkpoint_sequence, torn_tail_dropped``.  Children have none.
+    children:
+        A root's phase spans, in execution order.
     """
 
     trace_id: str
     span_id: str
-    parent_id: str
+    parent_id: str | None
     name: str
     duration_seconds: float
     status: str
+    fields: dict[str, Any] = field(default_factory=dict)
+    children: tuple[Span, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
-        """The child span as a JSON-able dict (one sink record)."""
+        """The span as one flat JSON-able record.
+
+        Children are *not* inlined: sinks export them as separate
+        flat records keyed by ``trace_id``/``parent_id``, and
+        :func:`repro.obs.sink.span_tree` reassembles the tree.
+        """
         return {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -73,137 +98,14 @@ class ChildSpan:
             "name": self.name,
             "duration_seconds": self.duration_seconds,
             "status": self.status,
+            **self.fields,
         }
-
-
-@dataclass(frozen=True)
-class QuerySpan:
-    """One traced engine query.
-
-    Attributes
-    ----------
-    query:
-        Query class name (``"CountQuery"``, ``"HotListQuery"``, ...).
-    relation / attribute:
-        Query target; join queries record ``"left⋈right"`` pairs.
-    method:
-        Which synopsis or path produced the answer (the response's
-        ``method``), or ``"error"`` when the query raised.
-    duration_seconds:
-        Wall time between begin and record, by the injected clock.
-    is_exact:
-        Whether the answer came from base data.
-    requested_exact:
-        Whether the caller demanded the exact fallback (the
-        user-decision half of the paper's Figure 1 loop).
-    answer:
-        The scalar estimate, or ``None`` for structured/hot-list
-        answers and errors.
-    interval_low / interval_high / confidence:
-        The reported error bound, when the estimator provides one.
-    exact_cost_estimate:
-        Disk accesses an exact recomputation was estimated to cost.
-    error:
-        Exception class name when the query raised, else ``None``.
-    cache:
-        ``"hit"`` or ``"miss"`` when the engine consulted its
-        query-result cache, else ``None`` (no cache attached, or the
-        exact path, which is never cached).
-    result_cardinality:
-        For structured (hot-list) answers, the number of reported
-        entries; ``None`` for scalar answers and errors.
-    top_value / top_count:
-        For structured answers, the top reported item and its
-        estimated count; ``None`` otherwise (including empty reports).
-    trace_id / span_id / parent_id:
-        Trace identity: deterministic, sequence-based ids.  Root spans
-        always have ``parent_id is None``.
-    children:
-        Phase spans attached by the engine, in execution order.
-    """
-
-    query: str
-    relation: str
-    attribute: str
-    method: str
-    duration_seconds: float
-    is_exact: bool
-    requested_exact: bool
-    answer: float | None
-    interval_low: float | None
-    interval_high: float | None
-    confidence: float | None
-    exact_cost_estimate: int
-    error: str | None
-    cache: str | None = None
-    result_cardinality: int | None = None
-    top_value: int | None = None
-    top_count: float | None = None
-    trace_id: str = ""
-    span_id: str = ""
-    parent_id: str | None = None
-    children: tuple[ChildSpan, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        """The span as a JSON-able dict (exposition/CLI payload).
-
-        Children are *not* inlined: sinks export them as separate
-        flat records keyed by ``trace_id``/``parent_id``, and
-        :func:`repro.obs.sink.span_tree` reassembles the tree.
-        """
-        return {
-            "query": self.query,
-            "relation": self.relation,
-            "attribute": self.attribute,
-            "method": self.method,
-            "duration_seconds": self.duration_seconds,
-            "is_exact": self.is_exact,
-            "requested_exact": self.requested_exact,
-            "answer": self.answer,
-            "interval_low": self.interval_low,
-            "interval_high": self.interval_high,
-            "confidence": self.confidence,
-            "exact_cost_estimate": self.exact_cost_estimate,
-            "error": self.error,
-            "cache": self.cache,
-            "result_cardinality": self.result_cardinality,
-            "top_value": self.top_value,
-            "top_count": self.top_count,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-        }
-
-
-class ActiveTrace:
-    """An in-flight query trace: identity, start time, child spans.
-
-    Opaque to the engine -- it is created by
-    :meth:`QueryTracer.start_trace`, threaded through
-    :meth:`QueryTracer.child` scopes, and closed by
-    :meth:`QueryTracer.finish` / :meth:`QueryTracer.finish_error`.
-    """
-
-    __slots__ = ("trace_id", "root_span_id", "started", "children", "_next")
-
-    def __init__(self, trace_id: str, started: float) -> None:
-        self.trace_id = trace_id
-        self.root_span_id = f"{trace_id}:0"
-        self.started = started
-        self.children: list[ChildSpan] = []
-        self._next = 1
-
-    def next_span_id(self) -> str:
-        """Allocate the next child span id within this trace."""
-        span_id = f"{self.trace_id}:{self._next}"
-        self._next += 1
-        return span_id
 
 
 class ChildScope:
-    """Mutable handle yielded by :meth:`QueryTracer.child`.
+    """Mutable handle yielded by :meth:`ActiveTrace.child`.
 
-    The engine sets :attr:`status` before the scope closes (cache
+    The caller sets :attr:`status` before the scope closes (cache
     outcome, audit failure); an exception escaping the scope forces
     ``"error"``.
     """
@@ -232,6 +134,8 @@ def _answer_summary(
 
 
 def _query_target(query: Any) -> tuple[str, str]:
+    if query is None:
+        return "?", "?"
     relation = getattr(query, "relation", None)
     if relation is not None:
         return str(relation), str(getattr(query, "attribute", ""))
@@ -243,8 +147,136 @@ def _query_target(query: Any) -> tuple[str, str]:
     return f"{left}*{right}", f"{left_attr}*{right_attr}"
 
 
-class QueryTracer:
-    """Per-query spans plus latency/outcome metrics.
+class ActiveTrace:
+    """An open root span: identity, start time, op fields, children.
+
+    Created by :meth:`Tracer.start_trace`, it carries its tracer, so
+    whoever holds it can add phases (:meth:`child`), record the op's
+    outcome (:meth:`record_query`) and close it (:meth:`finish`).
+    """
+
+    __slots__ = (
+        "name",
+        "trace_id",
+        "span_id",
+        "started",
+        "status",
+        "fields",
+        "children",
+        "_tracer",
+        "_next",
+    )
+
+    def __init__(
+        self, tracer: Tracer, name: str, trace_id: str, started: float
+    ) -> None:
+        self.name = name
+        self.trace_id = trace_id
+        self.span_id = f"{trace_id}:0"
+        self.started = started
+        self.status = "ok"
+        self.fields: dict[str, Any] = {}
+        self.children: list[Span] = []
+        self._tracer = tracer
+        self._next = 1
+
+    @contextmanager
+    def child(self, name: str) -> Iterator[ChildScope]:
+        """Record one phase of the op as a child span.
+
+        The yielded :class:`ChildScope` lets the caller set a phase
+        status; exceptions escaping the scope mark the child
+        ``"error"`` and propagate.
+        """
+        clock = self._tracer._clock
+        scope = ChildScope()
+        started = clock()
+        try:
+            yield scope
+        except BaseException:
+            scope.status = "error"
+            raise
+        finally:
+            self.children.append(
+                Span(
+                    trace_id=self.trace_id,
+                    span_id=f"{self.trace_id}:{self._next}",
+                    parent_id=self.span_id,
+                    name=name,
+                    duration_seconds=max(0.0, clock() - started),
+                    status=scope.status,
+                )
+            )
+            self._next += 1
+
+    def record_query(
+        self,
+        query: Any,
+        response: Any = None,
+        *,
+        error: BaseException | None = None,
+        requested_exact: bool = False,
+        cache: str | None = None,
+    ) -> None:
+        """Set a query root's fields from its response or its error.
+
+        ``query`` is ``None`` when the request failed before a query
+        could be decoded.
+        """
+        relation, attribute = _query_target(query)
+        name = type(query).__name__ if query is not None else "?"
+        if error is not None:
+            self.status = type(error).__name__
+            response = None
+        interval = getattr(response, "interval", None)
+        answer = getattr(response, "answer", None)
+        cardinality, top_value, top_count = _answer_summary(answer)
+        self.fields = {
+            "query": name,
+            "relation": relation,
+            "attribute": attribute,
+            "method": (
+                "error"
+                if error is not None
+                else str(getattr(response, "method", "unknown"))
+            ),
+            "is_exact": bool(getattr(response, "is_exact", False)),
+            "requested_exact": requested_exact,
+            "answer": (
+                float(answer) if isinstance(answer, (int, float)) else None
+            ),
+            "interval_low": (
+                float(interval.low) if interval is not None else None
+            ),
+            "interval_high": (
+                float(interval.high) if interval is not None else None
+            ),
+            "confidence": (
+                float(interval.confidence) if interval is not None else None
+            ),
+            "exact_cost_estimate": int(
+                getattr(response, "exact_cost_estimate", 0)
+            ),
+            "error": self.status if error is not None else None,
+            "cache": cache,
+            "result_cardinality": cardinality,
+            "top_value": top_value,
+            "top_count": top_count,
+        }
+
+    def finish(self, status: str | None = None, **fields: Any) -> Span:
+        """Close the root, export its metrics once, and buffer it.
+
+        ``status`` and ``fields``, when given, are recorded first.
+        """
+        if status is not None:
+            self.status = status
+        self.fields.update(fields)
+        return self._tracer._close(self)
+
+
+class Tracer:
+    """Spans for queries, checkpoints and recoveries, plus metrics.
 
     Parameters
     ----------
@@ -267,152 +299,21 @@ class QueryTracer:
     ) -> None:
         self._registry = registry if registry is not None else get_registry()
         self._clock = clock
-        self._spans: deque[QuerySpan] = deque(maxlen=max_spans)
+        self._spans: deque[Span] = deque(maxlen=max_spans)
         self._prefix = f"t{next(_TRACER_SEQUENCE)}"
         self._trace_counter = itertools.count(1)
 
-    # -- the engine-facing protocol ------------------------------------
+    def start_trace(self, name: str = "query") -> ActiveTrace:
+        """Open a root span of kind ``name``."""
+        trace_id = f"{self._prefix}-{next(self._trace_counter):08d}"
+        return ActiveTrace(self, name, trace_id, self._clock())
 
-    def start_trace(self) -> ActiveTrace:
-        """Open a trace for one :meth:`answer` call."""
-        return ActiveTrace(self._new_trace_id(), self._clock())
-
-    @contextmanager
-    def child(self, trace: ActiveTrace, name: str) -> Iterator[ChildScope]:
-        """Record one phase of the in-flight query as a child span.
-
-        The yielded :class:`ChildScope` lets the engine set a phase
-        status (cache outcome, audit failure); exceptions escaping the
-        scope mark the child ``"error"`` and propagate.
-        """
-        scope = ChildScope()
-        started = self._clock()
-        try:
-            yield scope
-        except BaseException:
-            scope.status = "error"
-            raise
-        finally:
-            trace.children.append(
-                ChildSpan(
-                    trace_id=trace.trace_id,
-                    span_id=trace.next_span_id(),
-                    parent_id=trace.root_span_id,
-                    name=name,
-                    duration_seconds=max(0.0, self._clock() - started),
-                    status=scope.status,
-                )
-            )
-
-    def finish(
-        self,
-        trace: ActiveTrace,
-        query: Any,
-        response: Any,
-        *,
-        requested_exact: bool = False,
-        cache: str | None = None,
-    ) -> QuerySpan:
-        """Close the trace for a successfully answered query."""
-        interval = getattr(response, "interval", None)
-        answer = getattr(response, "answer", None)
-        cardinality, top_value, top_count = _answer_summary(answer)
-        return self._finish(
-            trace,
-            query,
-            method=str(getattr(response, "method", "unknown")),
-            is_exact=bool(getattr(response, "is_exact", False)),
-            requested_exact=requested_exact,
-            answer=float(answer) if isinstance(answer, (int, float)) else None,
-            interval_low=(
-                float(interval.low) if interval is not None else None
-            ),
-            interval_high=(
-                float(interval.high) if interval is not None else None
-            ),
-            confidence=(
-                float(interval.confidence) if interval is not None else None
-            ),
-            exact_cost_estimate=int(
-                getattr(response, "exact_cost_estimate", 0)
-            ),
-            error=None,
-            cache=cache,
-            result_cardinality=cardinality,
-            top_value=top_value,
-            top_count=top_count,
-        )
-
-    def finish_error(
-        self,
-        trace: ActiveTrace,
-        query: Any,
-        error: BaseException,
-        *,
-        requested_exact: bool = False,
-    ) -> QuerySpan:
-        """Close the trace for a query that raised."""
-        return self._finish(
-            trace,
-            query,
-            method="error",
-            is_exact=False,
-            requested_exact=requested_exact,
-            answer=None,
-            interval_low=None,
-            interval_high=None,
-            confidence=None,
-            exact_cost_estimate=0,
-            error=type(error).__name__,
-        )
-
-    # -- the pre-trace protocol (kept for direct callers) --------------
-
-    def begin(self) -> float:
-        """Clock reading handed back opaquely to :meth:`record`."""
-        return self._clock()
-
-    def record(
-        self,
-        query: Any,
-        response: Any,
-        started: float,
-        *,
-        requested_exact: bool = False,
-        cache: str | None = None,
-    ) -> QuerySpan:
-        """Close a span begun with :meth:`begin` (no child spans)."""
-        trace = ActiveTrace(self._new_trace_id(), started)
-        return self.finish(
-            trace,
-            query,
-            response,
-            requested_exact=requested_exact,
-            cache=cache,
-        )
-
-    def record_error(
-        self,
-        query: Any,
-        error: BaseException,
-        started: float,
-        *,
-        requested_exact: bool = False,
-    ) -> QuerySpan:
-        """Close a span begun with :meth:`begin` for a raised query."""
-        trace = ActiveTrace(self._new_trace_id(), started)
-        return self.finish_error(
-            trace, query, error, requested_exact=requested_exact
-        )
-
-    # -- buffered spans -------------------------------------------------
-
-    def spans(self) -> tuple[QuerySpan, ...]:
-        """The most recent spans, oldest first."""
+    def spans(self) -> tuple[Span, ...]:
+        """The most recent root spans, oldest first."""
         return tuple(self._spans)
 
-    def drain(self) -> tuple[QuerySpan, ...]:
-        """Hand the buffered spans off and clear the ring buffer.
+    def drain(self) -> tuple[Span, ...]:
+        """Hand the buffered root spans off and clear the ring buffer.
 
         The single-export handoff used by
         :meth:`repro.obs.sink.TraceSink.drain`: a span returned here is
@@ -424,54 +325,78 @@ class QueryTracer:
 
     # -- internals ------------------------------------------------------
 
-    def _new_trace_id(self) -> str:
-        return f"{self._prefix}-{next(self._trace_counter):08d}"
-
-    def _finish(
-        self, trace: ActiveTrace, query: Any, **fields: Any
-    ) -> QuerySpan:
-        duration = max(0.0, self._clock() - trace.started)
-        relation, attribute = _query_target(query)
-        span = QuerySpan(
-            query=type(query).__name__,
-            relation=relation,
-            attribute=attribute,
-            duration_seconds=duration,
+    def _close(self, trace: ActiveTrace) -> Span:
+        span = Span(
             trace_id=trace.trace_id,
-            span_id=trace.root_span_id,
+            span_id=trace.span_id,
             parent_id=None,
+            name=trace.name,
+            duration_seconds=max(0.0, self._clock() - trace.started),
+            status=trace.status,
+            fields=dict(trace.fields),
             children=tuple(trace.children),
-            **fields,
         )
         self._spans.append(span)
         self._export(span)
         return span
 
-    def _export(self, span: QuerySpan) -> None:
+    def _export(self, span: Span) -> None:
         registry = self._registry
-        registry.counter(
-            "repro_queries_total",
-            "Engine queries answered, by query type, path, and exactness",
-            {
-                "query": span.query,
-                "method": span.method,
-                "exact": "true" if span.is_exact else "false",
-            },
-        ).inc()
-        registry.histogram(
-            "repro_query_seconds",
-            "Estimator latency per engine query",
-            {"query": span.query},
-        ).observe(span.duration_seconds)
-        if span.requested_exact:
+        fields = span.fields
+        if span.name == "query":
+            query = fields["query"]
             registry.counter(
-                "repro_exact_fallbacks_total",
-                "Queries where the caller demanded the exact fallback",
-                {"query": span.query},
+                "repro_queries_total",
+                "Engine queries answered, by query type, path, and exactness",
+                {
+                    "query": query,
+                    "method": fields["method"],
+                    "exact": "true" if fields["is_exact"] else "false",
+                },
             ).inc()
-        if span.error is not None:
+            registry.histogram(
+                "repro_query_seconds",
+                "Estimator latency per engine query",
+                {"query": query},
+            ).observe(span.duration_seconds)
+            if fields["requested_exact"]:
+                registry.counter(
+                    "repro_exact_fallbacks_total",
+                    "Queries where the caller demanded the exact fallback",
+                    {"query": query},
+                ).inc()
+            if fields["error"] is not None:
+                registry.counter(
+                    "repro_query_errors_total",
+                    "Engine queries that raised",
+                    {"query": query, "error": fields["error"]},
+                ).inc()
+        elif span.name == "checkpoint":
             registry.counter(
-                "repro_query_errors_total",
-                "Engine queries that raised",
-                {"query": span.query, "error": span.error},
+                "repro_checkpoints_total",
+                "Checkpoint attempts, by outcome",
+                {"outcome": span.status},
             ).inc()
+            registry.histogram(
+                "repro_checkpoint_seconds",
+                "Wall time per checkpoint write",
+            ).observe(span.duration_seconds)
+        elif span.name == "recovery":
+            registry.counter(
+                "repro_recovery_runs_total",
+                "Recovery attempts, by outcome",
+                {"outcome": span.status},
+            ).inc()
+            registry.histogram(
+                "repro_recovery_seconds",
+                "Wall time per recovery (snapshot load plus log replay)",
+            ).observe(span.duration_seconds)
+            registry.counter(
+                "repro_recovery_replayed_operations_total",
+                "WAL operations replayed on top of checkpoints",
+            ).inc(fields["replayed_operations"])
+            if fields["torn_tail_dropped"]:
+                registry.counter(
+                    "repro_recovery_torn_tails_total",
+                    "Recoveries that dropped and repaired a torn WAL tail",
+                ).inc()

@@ -43,7 +43,7 @@ from repro.engine.snapshots import (
     snapshot_synopsis,
 )
 from repro.engine.warehouse import DataWarehouse
-from repro.obs.recovery import RecoveryTracer
+from repro.obs.tracing import Tracer
 from repro.persist.checkpoint import CheckpointStore
 from repro.persist.columns import decode_columns, encode_columns
 from repro.persist.errors import LogGapError, ReplayError
@@ -146,10 +146,10 @@ class RecoveryManager:
         self,
         store: CheckpointStore,
         *,
-        tracer: RecoveryTracer | None = None,
+        tracer: Tracer | None = None,
     ) -> None:
         self._store = store
-        self._tracer = tracer if tracer is not None else RecoveryTracer()
+        self._tracer = tracer if tracer is not None else Tracer()
         self._warehouse: DataWarehouse | None = None
         self._tap = _WarehouseTap(self)
         self._bindings: list[SynopsisBinding] = []
@@ -350,7 +350,7 @@ class RecoveryManager:
         """
         if self._warehouse is None:
             raise RuntimeError("attach a warehouse before checkpointing")
-        started = self._tracer.begin()
+        trace = self._tracer.start_trace("checkpoint")
         sequence = self._sequence
         try:
             state = {
@@ -375,12 +375,16 @@ class RecoveryManager:
             self._store.wal.truncate_through(sequence)
             self._store.prune_checkpoints(keep=keep)
             self._store.remove_temporaries()
-        except Exception as error:
-            self._tracer.record_checkpoint(
-                started, sequence=sequence, outcome=type(error).__name__
-            )
+        except BaseException as error:
+            trace.status = type(error).__name__
             raise
-        self._tracer.record_checkpoint(started, sequence=sequence)
+        finally:
+            trace.finish(
+                sequence=sequence,
+                replayed_operations=0,
+                checkpoint_sequence=sequence,
+                torn_tail_dropped=False,
+            )
         return sequence
 
     # ------------------------------------------------------------------
@@ -407,21 +411,19 @@ class RecoveryManager:
         :class:`~repro.persist.errors.RecoveryError` -- partial state
         is never returned.
         """
-        started = self._tracer.begin()
+        trace = self._tracer.start_trace("recovery")
         try:
             state = self._recover(seed=seed, tolerate=tolerate_torn_tail)
         except Exception as error:
-            self._tracer.record_recovery(
-                started,
+            trace.finish(
+                type(error).__name__,
                 sequence=self._sequence,
                 replayed_operations=0,
                 checkpoint_sequence=-1,
                 torn_tail_dropped=False,
-                outcome=type(error).__name__,
             )
             raise
-        self._tracer.record_recovery(
-            started,
+        trace.finish(
             sequence=state.sequence,
             replayed_operations=state.replayed,
             checkpoint_sequence=state.checkpoint_sequence,

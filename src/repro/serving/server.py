@@ -36,18 +36,14 @@ injected ``clock`` callable defaulting to
 from __future__ import annotations
 
 import asyncio
-from functools import partial
 from typing import Any, Callable
 
-from repro.engine.answering import NoSynopsisError
 from repro.engine.engine import ApproximateAnswerEngine
 from repro.engine.queries import Query
-from repro.engine.relation import RelationError
-from repro.engine.responses import QueryResponse
 from repro.engine.warehouse import DataWarehouse
 from repro.obs import clock as obs_clock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import ActiveTrace, QueryTracer
+from repro.obs.tracing import ActiveTrace
 from repro.persist.recovery import RecoveryManager
 from repro.serving import codec
 from repro.serving.metrics import ServerMetrics
@@ -96,10 +92,6 @@ class AQPServer:
         Optional metrics registry for the ``repro_server_*``
         instruments (defaults to the process registry, a no-op unless
         observability is enabled).
-    tracer:
-        Optional :class:`~repro.obs.tracing.QueryTracer`; query
-        requests become query spans with ``queue_wait`` and
-        ``execute`` children.
     clock:
         Monotonic-seconds callable for latency instruments.
     max_in_flight, max_queue:
@@ -124,7 +116,6 @@ class AQPServer:
         port: int = 0,
         manager: RecoveryManager | None = None,
         registry: MetricsRegistry | None = None,
-        tracer: QueryTracer | None = None,
         clock: Callable[[], float] = obs_clock.monotonic,
         max_in_flight: int = 8,
         max_queue: int = 16,
@@ -139,7 +130,6 @@ class AQPServer:
         self.engine = engine
         self.manager = manager
         self.ops = Operations(warehouse, engine, manager)
-        self.tracer = tracer
         self.max_in_flight = max_in_flight
         self.max_queue = max_queue
         self.max_frame_bytes = max_frame_bytes
@@ -329,61 +319,69 @@ class AQPServer:
             )
             return False
 
-        trace: ActiveTrace | None = None
-        if op == "query" and self.tracer is not None:
-            trace = self.tracer.start_trace()
-
-        admitted = False
-        if heavy:
-            if self._waiting >= self.max_queue:
-                self._metrics.busy_total.inc()
-                self._metrics.requests_total(op, "busy").inc()
-                await self._send(
-                    writer,
-                    encode_error(
-                        request_id,
-                        SERVER_BUSY,
-                        f"admission queue full "
-                        f"({self._waiting} waiting); retry later",
-                    ),
-                )
-                return False
-            await self._admit(trace)
-            admitted = True
-
-        self._active += 1
-        self._drained.clear()
-        self._metrics.in_flight.inc()
-        try:
-            result, goodbye = await self._execute(
-                op, params, sessions, trace
-            )
-            self._metrics.requests_total(op, "ok").inc()
-            await self._send(writer, encode_result(request_id, result))
-            return goodbye
-        except self._fatal as error:
-            # A simulated crash: abort the server; no error response
-            # may be written (the transport is gone).
-            self.fatal_error = error
-            self.abort()
-            raise
-        except Exception as error:
-            code, message = describe_error(error)
-            self._metrics.requests_total(op, "error").inc()
+        if heavy and self._waiting >= self.max_queue:
+            self._metrics.busy_total.inc()
+            self._metrics.requests_total(op, "busy").inc()
             await self._send(
-                writer, encode_error(request_id, code, message)
+                writer,
+                encode_error(
+                    request_id,
+                    SERVER_BUSY,
+                    f"admission queue full "
+                    f"({self._waiting} waiting); retry later",
+                ),
             )
             return False
+
+        # One trace per query request: the server opens the root and
+        # hands it to the engine, which adds its phases.
+        tracer = self.engine.tracer
+        trace = (
+            tracer.start_trace()
+            if op == "query" and tracer is not None
+            else None
+        )
+        admitted = False
+        try:
+            if heavy:
+                await self._admit(trace)
+                admitted = True
+            self._active += 1
+            self._drained.clear()
+            self._metrics.in_flight.inc()
+            try:
+                result, goodbye = await self._execute(
+                    op, params, sessions, trace
+                )
+                self._metrics.requests_total(op, "ok").inc()
+                await self._send(writer, encode_result(request_id, result))
+                return goodbye
+            except self._fatal as error:
+                # A simulated crash: abort the server; no error response
+                # may be written (the transport is gone).
+                self.fatal_error = error
+                self.abort()
+                raise
+            except Exception as error:
+                code, message = describe_error(error)
+                self._metrics.requests_total(op, "error").inc()
+                await self._send(
+                    writer, encode_error(request_id, code, message)
+                )
+                return False
+            finally:
+                self._metrics.request_seconds(op).observe(
+                    self._clock() - started
+                )
+                self._metrics.in_flight.dec()
+                self._active -= 1
+                if self._active == 0:
+                    self._drained.set()
+                if admitted:
+                    self._admission.release()
         finally:
-            self._metrics.request_seconds(op).observe(
-                self._clock() - started
-            )
-            self._metrics.in_flight.dec()
-            self._active -= 1
-            if self._active == 0:
-                self._drained.set()
-            if admitted:
-                self._admission.release()
+            if trace is not None:
+                trace.finish()
 
     async def _admit(self, trace: ActiveTrace | None) -> None:
         """Wait for an admission slot, timing the queue wait."""
@@ -391,11 +389,15 @@ class AQPServer:
         self._metrics.queue_depth.inc()
         wait_started = self._clock()
         try:
-            if trace is not None and self.tracer is not None:
-                with self.tracer.child(trace, "queue_wait"):
+            if trace is not None:
+                with trace.child("queue_wait"):
                     await self._admission.acquire()
             else:
                 await self._admission.acquire()
+        except BaseException as error:
+            if trace is not None:
+                trace.record_query(None, error=error)
+            raise
         finally:
             self._waiting -= 1
             self._metrics.queue_depth.dec()
@@ -477,58 +479,53 @@ class AQPServer:
     def _op_query(
         self, params: dict[str, Any], trace: ActiveTrace | None
     ) -> dict[str, Any]:
-        session = self._session_for(params)
-        if "handle" in params:
-            handle = params["handle"]
-            try:
-                query = session.resolve(handle)
-            except KeyError:
-                raise ProtocolError(
-                    BAD_REQUEST, f"unregistered handle {handle!r}"
-                ) from None
-        else:
-            query = decode_query(params.get("query"))
-        exact = flag(params, "exact")
-        mode = params.get("mode")
-        if mode is None:
-            mode = (
-                "pinned"
-                if session.pinned is not None and not exact
-                else "live"
-            )
-        if mode not in ("pinned", "live"):
-            raise ProtocolError(
-                BAD_REQUEST, f"mode must be pinned or live, not {mode!r}"
-            )
-        if exact and mode == "pinned":
-            raise ProtocolError(
-                BAD_REQUEST,
-                "exact queries scan live base data; use mode=live",
-            )
-        answer: Callable[[Query], QueryResponse]
-        if mode == "live":
-            answer = partial(self.engine.answer, exact=exact)
-        elif session.pinned is not None:
-            answer = session.pinned.answer
-        else:
-            raise ProtocolError(
-                BAD_REQUEST, "no snapshot pinned; send a snapshot op first"
-            )
-        tracer = self.tracer
+        query: Query | None = None
+        exact = False
         try:
-            if tracer is not None and trace is not None:
-                with tracer.child(trace, "execute"):
-                    response = answer(query)
+            session = self._session_for(params)
+            if "handle" in params:
+                handle = params["handle"]
+                try:
+                    query = session.resolve(handle)
+                except KeyError:
+                    raise ProtocolError(
+                        BAD_REQUEST, f"unregistered handle {handle!r}"
+                    ) from None
             else:
-                response = answer(query)
-        except (NoSynopsisError, ValueError, RelationError) as error:
-            if tracer is not None and trace is not None:
-                tracer.finish_error(
-                    trace, query, error, requested_exact=exact
+                query = decode_query(params.get("query"))
+            exact = flag(params, "exact")
+            mode = params.get("mode")
+            if mode is None:
+                mode = (
+                    "pinned"
+                    if session.pinned is not None and not exact
+                    else "live"
                 )
+            if mode not in ("pinned", "live"):
+                raise ProtocolError(
+                    BAD_REQUEST, f"mode must be pinned or live, not {mode!r}"
+                )
+            if exact and mode == "pinned":
+                raise ProtocolError(
+                    BAD_REQUEST,
+                    "exact queries scan live base data; use mode=live",
+                )
+            if mode == "live":
+                response = self.engine.answer(query, exact=exact, trace=trace)
+            elif session.pinned is None:
+                raise ProtocolError(
+                    BAD_REQUEST, "no snapshot pinned; send a snapshot op first"
+                )
+            elif trace is None:
+                response = session.pinned.answer(query)
+            else:
+                with trace.child("synopsis_answer"):
+                    response = session.pinned.answer(query)
+                trace.record_query(query, response)
+        except Exception as error:
+            if trace is not None:
+                trace.record_query(query, error=error, requested_exact=exact)
             raise
-        if tracer is not None and trace is not None:
-            tracer.finish(trace, query, response, requested_exact=exact)
         return {
             "response": codec.encode_response(response),
             "mode": mode,

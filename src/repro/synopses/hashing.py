@@ -2,15 +2,14 @@
 
 Carter-Wegman multiply-mod-prime hashing over the Mersenne prime
 ``2^61 - 1``: pairwise independent, cheap, and reproducible from a
-seed.  Four-wise independence (what a random-sign sketch needs) is
-obtained from a degree-3 polynomial over the same prime.
+seed.
 """
 
 from __future__ import annotations
 
 from repro.randkit.rng import ReproRandom
 
-__all__ = ["PairwiseHash", "FourwiseHash", "bit_hash_position"]
+__all__ = ["PairwiseHash", "bit_hash_position"]
 
 _MERSENNE_PRIME = (1 << 61) - 1
 
@@ -34,28 +33,6 @@ class PairwiseHash:
     def raw(self, value: int) -> int:
         """The full-range hash before bucket reduction."""
         return (self._a * value + self._b) % _MERSENNE_PRIME
-
-
-class FourwiseHash:
-    """A 4-wise independent hash via a random cubic polynomial."""
-
-    def __init__(self, seed: int) -> None:
-        rng = ReproRandom(seed)
-        self._coefficients = [
-            rng.randint(0, _MERSENNE_PRIME - 1) for _ in range(4)
-        ]
-        if self._coefficients[3] == 0:
-            self._coefficients[3] = 1
-
-    def __call__(self, value: int) -> int:
-        result = 0
-        for coefficient in reversed(self._coefficients):
-            result = (result * value + coefficient) % _MERSENNE_PRIME
-        return result
-
-    def sign(self, value: int) -> int:
-        """A 4-wise independent random sign in ``{-1, +1}``."""
-        return 1 if self(value) & 1 else -1
 
 
 def bit_hash_position(hashed: int, max_bits: int = 61) -> int:

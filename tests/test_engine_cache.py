@@ -28,13 +28,13 @@ from repro.engine.warehouse import DataWarehouse
 from repro.hotlist.concise import ConciseHotList
 from repro.obs.clock import FakeClock
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import QueryTracer
+from repro.obs.tracing import Tracer
 
 
 def build_engine(
     *,
     cache: QueryResultCache | None = None,
-    tracer: QueryTracer | None = None,
+    tracer: Tracer | None = None,
     seed: int = 7,
 ) -> ApproximateAnswerEngine:
     warehouse = DataWarehouse()
@@ -284,22 +284,22 @@ class TestEngineCaching:
             assert cached.answer(query) == plain.answer(query)
 
     def test_tracer_records_cache_outcome(self):
-        tracer = QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = Tracer(MetricsRegistry(), clock=FakeClock())
         cache = QueryResultCache(registry=MetricsRegistry())
         engine = build_engine(cache=cache, tracer=tracer)
         query = CountQuery("sales", "price")
         engine.answer(query)
         engine.answer(query)
         engine.answer(query, exact=True)
-        outcomes = [span.cache for span in tracer.spans()]
+        outcomes = [span.fields["cache"] for span in tracer.spans()]
         assert outcomes == ["miss", "hit", None]
         assert tracer.spans()[0].to_dict()["cache"] == "miss"
 
     def test_no_cache_leaves_span_cache_unset(self):
-        tracer = QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = Tracer(MetricsRegistry(), clock=FakeClock())
         engine = build_engine(cache=None, tracer=tracer)
         engine.answer(CountQuery("sales", "price"))
-        assert tracer.spans()[0].cache is None
+        assert tracer.spans()[0].fields["cache"] is None
 
 
 class TestLookupStatus:

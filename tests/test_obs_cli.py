@@ -67,7 +67,8 @@ class TestReport:
         out = capsys.readouterr().out
         assert out.startswith("repro health report")
         assert "CountQuery" in out
-        assert "root span(s)" in out
+        assert "4 root span(s)" in out
+        assert "query: 4 root(s)" in out
         assert "no cluster data" in out
         assert "unrecognized series" not in out
 

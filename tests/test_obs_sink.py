@@ -17,7 +17,7 @@ from repro.hotlist.concise import ConciseHotList
 from repro.obs.audit import CalibrationAuditor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import TraceSink, read_trace_file, span_tree
-from repro.obs.tracing import QueryTracer
+from repro.obs.tracing import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +32,7 @@ def traced_engine(registry: MetricsRegistry) -> ApproximateAnswerEngine:
     warehouse.create_relation("sales", ["item"])
     engine = ApproximateAnswerEngine(
         warehouse,
-        tracer=QueryTracer(registry),
+        tracer=Tracer(registry),
         cache=QueryResultCache(capacity=16, registry=registry),
         auditor=CalibrationAuditor(1.0, seed=5, registry=registry),
     )
@@ -75,15 +75,18 @@ class TestRing:
 
     def test_overflow_drops_oldest_and_counts(self):
         registry = MetricsRegistry()
-        tracer = QueryTracer(registry)
+        tracer = Tracer(registry)
         sink = TraceSink(capacity=3, registry=registry)
 
         class Response:
             answer, method, interval = 1.0, "sample", None
 
         for value in range(5):
-            query = CountQuery("sales", "item", Predicate(high=value))
-            tracer.record(query, Response(), tracer.begin())
+            trace = tracer.start_trace()
+            trace.record_query(
+                CountQuery("sales", "item", Predicate(high=value)), Response()
+            )
+            trace.finish()
         sink.drain(tracer)
         records = sink.records()
         assert len(records) == 3
@@ -116,7 +119,12 @@ class TestJsonlRoundTrip:
                 child.to_dict() for child in span.children
             ]
         # The workload exercised every phase at least once.
-        phases = {rec["name"] for rec in records if "name" in rec}
+        phases = {
+            rec["name"] for rec in records if rec["parent_id"] is not None
+        }
+        roots = [rec for rec in records if rec["parent_id"] is None]
+        assert {rec["name"] for rec in roots} == {"query"}
+        assert {rec["status"] for rec in roots} == {"ok"}
         assert phases == {
             "cache_lookup",
             "synopsis_answer",

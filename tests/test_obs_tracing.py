@@ -1,4 +1,4 @@
-"""Query-path tracing: spans, metrics, and the engine integration."""
+"""Query tracing: the one span record, the tracer, and the engine integration."""
 
 from __future__ import annotations
 
@@ -34,44 +34,52 @@ def _engine(tracer=None):
     return engine
 
 
+class Response:
+    method = "sample"
+    is_exact = False
+    answer = 42.0
+    interval = None
+    exact_cost_estimate = 100
+
+
+def finish_query(tracer, query, response=None, *, error=None, **kwargs):
+    """Open, record and close one query root."""
+    trace = tracer.start_trace()
+    trace.record_query(query, response, error=error, **kwargs)
+    return trace.finish()
+
+
 class TestTracerUnit:
     def test_span_duration_uses_injected_clock(self):
         clock = FakeClock()
         registry = MetricsRegistry()
-        tracer = obs.QueryTracer(registry, clock=clock)
-        started = tracer.begin()
+        tracer = obs.Tracer(registry, clock=clock)
+        trace = tracer.start_trace()
         clock.advance(0.25)
-
-        class Response:
-            method = "sample"
-            is_exact = False
-            answer = 42.0
-            interval = None
-            exact_cost_estimate = 100
-
-        span = tracer.record(
-            CountQuery("sales", "item", None), Response(), started
-        )
+        trace.record_query(CountQuery("sales", "item", None), Response())
+        span = trace.finish()
         assert span.duration_seconds == 0.25
-        assert span.query == "CountQuery"
-        assert span.relation == "sales"
-        assert span.attribute == "item"
-        assert span.method == "sample"
-        assert span.answer == 42.0
-        assert span.exact_cost_estimate == 100
-        assert span.error is None
+        assert span.name == "query"
+        assert span.status == "ok"
+        assert span.fields["query"] == "CountQuery"
+        assert span.fields["relation"] == "sales"
+        assert span.fields["attribute"] == "item"
+        assert span.fields["method"] == "sample"
+        assert span.fields["answer"] == 42.0
+        assert span.fields["exact_cost_estimate"] == 100
+        assert span.fields["error"] is None
 
     def test_error_span_and_metric(self):
         registry = MetricsRegistry()
-        tracer = obs.QueryTracer(registry, clock=FakeClock())
-        started = tracer.begin()
-        span = tracer.record_error(
+        tracer = obs.Tracer(registry, clock=FakeClock())
+        span = finish_query(
+            tracer,
             CountQuery("sales", "item", None),
-            NoSynopsisError("nope"),
-            started,
+            error=NoSynopsisError("nope"),
         )
-        assert span.method == "error"
-        assert span.error == "NoSynopsisError"
+        assert span.fields["method"] == "error"
+        assert span.fields["error"] == "NoSynopsisError"
+        assert span.status == "NoSynopsisError"
         assert (
             registry.value(
                 "repro_query_errors_total",
@@ -81,42 +89,38 @@ class TestTracerUnit:
         )
 
     def test_ring_buffer_caps_spans(self):
-        tracer = obs.QueryTracer(
+        tracer = obs.Tracer(
             MetricsRegistry(), clock=FakeClock(), max_spans=3
         )
         query = CountQuery("sales", "item", None)
-
-        class Response:
-            method = "sample"
-            is_exact = False
-            answer = 1.0
-            interval = None
-            exact_cost_estimate = 0
-
         for _ in range(5):
-            tracer.record(query, Response(), tracer.begin())
-        assert len(tracer.spans()) == 3
+            finish_query(tracer, query, Response())
+        spans = tracer.spans()
+        assert len(spans) == 3
+        assert spans[-1].trace_id.endswith("-00000005")
 
     def test_join_query_target(self):
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
-        span = tracer.record_error(
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
+        span = finish_query(
+            tracer,
             JoinSizeQuery("orders", "item", "sales", "item"),
-            RuntimeError("x"),
-            tracer.begin(),
+            error=RuntimeError("x"),
         )
-        assert span.relation == "orders*sales"
-        assert span.attribute == "item*item"
+        assert span.fields["relation"] == "orders*sales"
+        assert span.fields["attribute"] == "item*item"
 
     def test_span_to_dict_is_jsonable(self):
         import json
 
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
-        span = tracer.record_error(
-            CountQuery("sales", "item", None), ValueError("x"), 0.0
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
+        span = finish_query(
+            tracer, CountQuery("sales", "item", None), error=ValueError("x")
         )
         payload = json.loads(json.dumps(span.to_dict()))
         assert payload["query"] == "CountQuery"
         assert payload["error"] == "ValueError"
+        assert payload["name"] == "query"
+        assert payload["status"] == "ValueError"
 
 
 class TestEngineIntegration:
@@ -130,17 +134,17 @@ class TestEngineIntegration:
     def test_traced_query_records_span_and_metrics(self):
         registry = MetricsRegistry()
         clock = FakeClock()
-        tracer = obs.QueryTracer(registry, clock=clock)
+        tracer = obs.Tracer(registry, clock=clock)
         engine = _engine(tracer=tracer)
         response = engine.answer(FrequencyQuery("sales", "item", value=1))
         (span,) = tracer.spans()
-        assert span.query == "FrequencyQuery"
-        assert span.is_exact is False
-        assert span.requested_exact is False
-        assert span.answer == response.answer
-        assert span.interval_low == response.interval.low
-        assert span.interval_high == response.interval.high
-        assert span.confidence == response.interval.confidence
+        assert span.fields["query"] == "FrequencyQuery"
+        assert span.fields["is_exact"] is False
+        assert span.fields["requested_exact"] is False
+        assert span.fields["answer"] == response.answer
+        assert span.fields["interval_low"] == response.interval.low
+        assert span.fields["interval_high"] == response.interval.high
+        assert span.fields["confidence"] == response.interval.confidence
         assert (
             registry.value(
                 "repro_queries_total",
@@ -155,14 +159,14 @@ class TestEngineIntegration:
 
     def test_exact_fallback_is_recorded(self):
         registry = MetricsRegistry()
-        tracer = obs.QueryTracer(registry, clock=FakeClock())
+        tracer = obs.Tracer(registry, clock=FakeClock())
         engine = _engine(tracer=tracer)
         engine.answer(
             CountQuery("sales", "item", Predicate(high=10)), exact=True
         )
         (span,) = tracer.spans()
-        assert span.is_exact is True
-        assert span.requested_exact is True
+        assert span.fields["is_exact"] is True
+        assert span.fields["requested_exact"] is True
         assert (
             registry.value(
                 "repro_exact_fallbacks_total", {"query": "CountQuery"}
@@ -172,17 +176,17 @@ class TestEngineIntegration:
 
     def test_engine_error_is_traced_and_reraised(self):
         registry = MetricsRegistry()
-        tracer = obs.QueryTracer(registry, clock=FakeClock())
+        tracer = obs.Tracer(registry, clock=FakeClock())
         engine = _engine(tracer=tracer)
         with pytest.raises(NoSynopsisError):
             engine.answer(CountQuery("sales", "missing", None))
         (span,) = tracer.spans()
-        assert span.error == "NoSynopsisError"
-        assert span.method == "error"
+        assert span.fields["error"] == "NoSynopsisError"
+        assert span.fields["method"] == "error"
 
     def test_tracer_attachable_after_construction(self):
         engine = _engine(tracer=None)
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         engine.tracer = tracer
         engine.answer(CountQuery("sales", "item", Predicate(high=10)))
         assert len(tracer.spans()) == 1
@@ -192,18 +196,18 @@ class TestTraceTrees:
     """Trace identity, child spans, and the single-export drain."""
 
     def test_trace_ids_are_deterministic_sequences(self):
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         first = tracer.start_trace()
         second = tracer.start_trace()
         prefix = first.trace_id.rsplit("-", 1)[0]
         assert first.trace_id == f"{prefix}-00000001"
         assert second.trace_id == f"{prefix}-00000002"
-        assert first.root_span_id == f"{first.trace_id}:0"
+        assert first.span_id == f"{first.trace_id}:0"
 
     def test_tracers_get_distinct_prefixes(self):
         registry = MetricsRegistry()
-        one = obs.QueryTracer(registry, clock=FakeClock())
-        two = obs.QueryTracer(registry, clock=FakeClock())
+        one = obs.Tracer(registry, clock=FakeClock())
+        two = obs.Tracer(registry, clock=FakeClock())
         assert (
             one.start_trace().trace_id.rsplit("-", 1)[0]
             != two.start_trace().trace_id.rsplit("-", 1)[0]
@@ -211,61 +215,53 @@ class TestTraceTrees:
 
     def test_child_scope_times_and_parents(self):
         clock = FakeClock()
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=clock)
+        tracer = obs.Tracer(MetricsRegistry(), clock=clock)
         trace = tracer.start_trace()
-        with tracer.child(trace, "cache_lookup") as scope:
+        with trace.child("cache_lookup") as scope:
             clock.advance(0.1)
             scope.status = "miss"
-        with tracer.child(trace, "synopsis_answer"):
+        with trace.child("synopsis_answer"):
             clock.advance(0.2)
         first, second = trace.children
         assert first.name == "cache_lookup"
         assert first.status == "miss"
         assert first.duration_seconds == pytest.approx(0.1)
         assert first.span_id == f"{trace.trace_id}:1"
-        assert first.parent_id == trace.root_span_id
+        assert first.parent_id == trace.span_id
         assert second.span_id == f"{trace.trace_id}:2"
         assert second.duration_seconds == pytest.approx(0.2)
 
     def test_child_exception_marks_error_and_propagates(self):
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         trace = tracer.start_trace()
         with pytest.raises(RuntimeError):
-            with tracer.child(trace, "audit_shadow"):
+            with trace.child("audit_shadow"):
                 raise RuntimeError("boom")
         (child,) = trace.children
         assert child.status == "error"
 
     def test_finish_attaches_children_to_span(self):
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         trace = tracer.start_trace()
-        with tracer.child(trace, "synopsis_answer"):
+        with trace.child("synopsis_answer"):
             pass
-
-        class Response:
-            method, is_exact, answer, interval = "sample", False, 1.0, None
-
-        span = tracer.finish(
-            trace, CountQuery("sales", "item", None), Response(),
-            cache="miss",
+        trace.record_query(
+            CountQuery("sales", "item", None), Response(), cache="miss"
         )
+        span = trace.finish()
         assert span.trace_id == trace.trace_id
+        assert span.span_id == f"{trace.trace_id}:0"
         assert span.parent_id is None
-        assert span.cache == "miss"
+        assert tracer.spans() == (span,)
+        assert span.fields["cache"] == "miss"
         assert [c.name for c in span.children] == ["synopsis_answer"]
         # Children are exported flat, never inlined in to_dict.
         assert "children" not in span.to_dict()
 
     def test_drain_empties_the_ring(self):
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
-
-        class Response:
-            method, is_exact, answer, interval = "sample", False, 1.0, None
-
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         for _ in range(3):
-            tracer.record(
-                CountQuery("sales", "item", None), Response(), tracer.begin()
-            )
+            finish_query(tracer, CountQuery("sales", "item", None), Response())
         drained = tracer.drain()
         assert len(drained) == 3
         assert tracer.spans() == ()
@@ -277,7 +273,7 @@ class TestAnswerSummaries:
         from repro.engine import HotListQuery
         from repro.hotlist.concise import ConciseHotList
 
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         engine = _engine(tracer)
         engine.register_hotlist(
             "sales", "item", ConciseHotList(400, seed=3)
@@ -288,29 +284,29 @@ class TestAnswerSummaries:
         response = engine.answer(HotListQuery("sales", "item", k=5))
         span = tracer.spans()[-1]
         entries = response.answer.entries
-        assert span.result_cardinality == len(entries)
-        assert span.top_value == int(entries[0].value)
-        assert span.top_count == pytest.approx(
+        assert span.fields["result_cardinality"] == len(entries)
+        assert span.fields["top_value"] == int(entries[0].value)
+        assert span.fields["top_count"] == pytest.approx(
             entries[0].estimated_count
         )
-        assert span.answer is None  # structured, not scalar
+        assert span.fields["answer"] is None  # structured, not scalar
 
     def test_scalar_span_has_no_summary(self):
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         engine = _engine(tracer)
         engine.answer(CountQuery("sales", "item", Predicate(high=10)))
         span = tracer.spans()[-1]
-        assert span.result_cardinality is None
-        assert span.top_value is None
-        assert span.top_count is None
+        assert span.fields["result_cardinality"] is None
+        assert span.fields["top_value"] is None
+        assert span.fields["top_count"] is None
 
 
-class TestEngineChildSpans:
+class TestEnginePhaseSpans:
     def test_cached_engine_emits_phase_children(self):
         from repro.engine.cache import QueryResultCache
 
         registry = MetricsRegistry()
-        tracer = obs.QueryTracer(registry, clock=FakeClock())
+        tracer = obs.Tracer(registry, clock=FakeClock())
         engine = _engine(tracer)
         engine.cache = QueryResultCache(capacity=8, registry=registry)
         query = CountQuery("sales", "item", Predicate(high=10))
@@ -322,32 +318,32 @@ class TestEngineChildSpans:
             "synopsis_answer",
         ]
         assert miss_span.children[0].status == "miss"
-        assert miss_span.cache == "miss"
+        assert miss_span.fields["cache"] == "miss"
         assert [c.name for c in hit_span.children] == ["cache_lookup"]
         assert hit_span.children[0].status == "hit"
-        assert hit_span.cache == "hit"
+        assert hit_span.fields["cache"] == "hit"
 
     def test_uncached_engine_emits_synopsis_child_only(self):
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         engine = _engine(tracer)
         engine.answer(CountQuery("sales", "item", Predicate(high=10)))
         (span,) = tracer.spans()
         assert [c.name for c in span.children] == ["synopsis_answer"]
-        assert span.cache is None
+        assert span.fields["cache"] is None
 
     def test_exact_fallback_child(self):
-        tracer = obs.QueryTracer(MetricsRegistry(), clock=FakeClock())
+        tracer = obs.Tracer(MetricsRegistry(), clock=FakeClock())
         engine = _engine(tracer)
         engine.answer(CountQuery("sales", "item", None), exact=True)
         (span,) = tracer.spans()
         assert [c.name for c in span.children] == ["exact_fallback"]
-        assert span.cache is None
+        assert span.fields["cache"] is None
 
     def test_audit_shadow_child(self):
         from repro.obs.audit import CalibrationAuditor
 
         registry = MetricsRegistry()
-        tracer = obs.QueryTracer(registry, clock=FakeClock())
+        tracer = obs.Tracer(registry, clock=FakeClock())
         engine = _engine(tracer)
         engine.auditor = CalibrationAuditor(
             1.0, seed=4, registry=registry
@@ -359,3 +355,114 @@ class TestEngineChildSpans:
             "audit_shadow",
         ]
         assert all(c.status == "ok" for c in span.children)
+
+
+async def serve(engine, requests):
+    """Run ``requests(client)`` against a loopback server over ``engine``."""
+    from repro.serving import AQPClient, AQPServer
+
+    server = AQPServer(engine.warehouse, engine, registry=MetricsRegistry())
+    host, port = await server.start()
+    try:
+        client = await AQPClient.connect(host, port)
+        await client.hello()
+        await requests(client)
+        await client.bye()
+    finally:
+        await server.shutdown()
+
+
+class TestServedQueryIsOneTrace:
+    """The server opens the root, the engine adds its phases: one
+    served query is one root span and one metric increment."""
+
+    COUNT = CountQuery("sales", "item", Predicate(high=10))
+
+    def assert_one_query_trace(self, tracer, registry, children):
+        (span,) = tracer.spans()
+        assert span.name == "query"
+        assert span.status == "ok"
+        assert span.fields["query"] == "CountQuery"
+        assert span.fields["method"] == "sample"
+        assert [child.name for child in span.children] == children
+        assert all(
+            child.parent_id == span.span_id for child in span.children
+        )
+        labels = {"query": "CountQuery", "method": "sample", "exact": "false"}
+        assert registry.value("repro_queries_total", labels) == 1.0
+        parsed = obs.parse_prometheus(obs.render_prometheus(registry))
+        assert parsed["repro_query_seconds_count"] == {
+            (("query", "CountQuery"),): 1.0
+        }
+
+    def test_live_query_is_one_trace(self):
+        import asyncio
+
+        registry = MetricsRegistry()
+        tracer = obs.Tracer(registry, clock=FakeClock())
+        engine = _engine(tracer)
+
+        async def requests(client):
+            await client.query(self.COUNT, mode="live")
+
+        asyncio.run(serve(engine, requests))
+        self.assert_one_query_trace(
+            tracer, registry, ["queue_wait", "synopsis_answer"]
+        )
+
+    def test_pinned_query_is_one_trace(self):
+        import asyncio
+
+        registry = MetricsRegistry()
+        tracer = obs.Tracer(registry, clock=FakeClock())
+        engine = _engine(tracer)
+
+        async def requests(client):
+            await client.snapshot()
+            await client.query(self.COUNT, mode="pinned")
+
+        asyncio.run(serve(engine, requests))
+        self.assert_one_query_trace(
+            tracer, registry, ["queue_wait", "synopsis_answer"]
+        )
+
+    def test_untyped_answer_error_still_finishes_the_root(self, monkeypatch):
+        import asyncio
+
+        from repro.serving import ServerError
+
+        registry = MetricsRegistry()
+        tracer = obs.Tracer(registry, clock=FakeClock())
+        engine = _engine(tracer)
+
+        def broken(query):
+            raise ZeroDivisionError("estimator blew up")
+
+        monkeypatch.setattr(engine, "_answer_approximate", broken)
+
+        async def requests(client):
+            with pytest.raises(ServerError) as caught:
+                await client.query(self.COUNT, mode="live")
+            assert caught.value.code == "internal"
+            with pytest.raises(ServerError) as caught:
+                await client.query(handle="never-registered")
+            assert caught.value.code == "bad-request"
+
+        asyncio.run(serve(engine, requests))
+        failed, unresolved = tracer.spans()
+        assert failed.status == "ZeroDivisionError"
+        assert failed.fields["query"] == "CountQuery"
+        assert failed.fields["error"] == "ZeroDivisionError"
+        assert [(c.name, c.status) for c in failed.children] == [
+            ("queue_wait", "ok"),
+            ("synopsis_answer", "error"),
+        ]
+        # A request that failed before its query was resolved still
+        # closes its root, with the failure as its status.
+        assert unresolved.status == "ProtocolError"
+        assert unresolved.fields["query"] == "?"
+        assert [c.name for c in unresolved.children] == ["queue_wait"]
+        assert registry.value(
+            "repro_query_errors_total",
+            {"query": "CountQuery", "error": "ZeroDivisionError"},
+        ) == 1.0

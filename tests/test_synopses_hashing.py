@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.randkit import numpy_generator
-from repro.synopses.hashing import (
-    FourwiseHash,
-    PairwiseHash,
-    bit_hash_position,
-)
+from repro.synopses.hashing import PairwiseHash, bit_hash_position
 
 
 class TestPairwiseHash:
@@ -42,28 +38,6 @@ class TestPairwiseHash:
         h = PairwiseHash(4, seed=6)
         raw_values = {h.raw(x) for x in range(100)}
         assert len(raw_values) == 100  # injective on small inputs whp
-
-
-class TestFourwiseHash:
-    def test_deterministic(self):
-        a = FourwiseHash(seed=7)
-        b = FourwiseHash(seed=7)
-        assert [a(x) for x in range(20)] == [b(x) for x in range(20)]
-
-    def test_sign_values(self):
-        h = FourwiseHash(seed=8)
-        assert set(h.sign(x) for x in range(1000)) == {-1, 1}
-
-    def test_sign_balanced(self):
-        h = FourwiseHash(seed=9)
-        mean = np.mean([h.sign(x) for x in range(50_000)])
-        assert abs(mean) < 0.02
-
-    def test_sign_products_uncorrelated(self):
-        """4-wise independence implies pairwise sign decorrelation."""
-        h = FourwiseHash(seed=10)
-        products = [h.sign(2 * x) * h.sign(2 * x + 1) for x in range(50_000)]
-        assert abs(np.mean(products)) < 0.02
 
 
 class TestBitHashPosition:
