@@ -20,8 +20,13 @@ times recovery, so the vectorized batch replay (columnar decode +
 ``insert_batch`` + synopsis ``insert_array``) is measured against the
 row-loop replay of an equivalent per-row WAL.
 
-Writes ``BENCH_durable_ingest.json`` at the repository root.  With
-``REPRO_BENCH_SMOKE=1`` runs tiny sizes and writes under
+Each path runs ``REPEATS`` times (5; 1 with ``REPRO_BENCH_SMOKE=1``),
+each run on a fresh store, and every run's ingest and recovery time is
+kept beside the median, minimum and maximum: on a small shared host
+one run can land anywhere in a wide band.  Writes the numbers, with
+the CPU count, Python and NumPy versions and the commit they were
+taken on, to ``BENCH_durable_ingest.json`` at the repository root.
+With ``REPRO_BENCH_SMOKE=1`` runs tiny sizes and writes under
 ``bench_out/`` instead (the CI smoke job).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_durable_ingest.py``.
@@ -31,12 +36,14 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from common import commit
 from repro.core import CountingSample
 from repro.engine import DataWarehouse
 from repro.obs.clock import perf_counter
@@ -50,7 +57,7 @@ BATCH = 50 if SMOKE else 1_000
 DOMAIN = 100 if SMOKE else 2_000
 SKEW = 1.0
 FOOTPRINT = 32 if SMOKE else 500
-REPEATS = 1 if SMOKE else 3
+REPEATS = 1 if SMOKE else 5
 ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = (
     ROOT / "bench_out" / "BENCH_durable_ingest.json"
@@ -95,17 +102,16 @@ def _wal_bytes(root: Path) -> int:
     return sum(path.stat().st_size for path in directory.iterdir())
 
 
-def ingest_per_row(root: Path, stream, *, durable: bool) -> dict:
-    warehouse, _ = _pipeline(root, durable=durable)
+def ingest_per_row(root: Path, stream) -> dict:
+    warehouse, _ = _pipeline(root, durable=True)
     start = perf_counter()
     for value in stream.tolist():
         warehouse.insert("sales", (value,))
     elapsed = perf_counter() - start
     # Crash: abandon without detaching; acked rows are fsynced.
     return {
-        "ingest_seconds": round(elapsed, 4),
-        "rows_per_second": round(N / elapsed),
-        "fsync_points": N if durable else 0,
+        "ingest_seconds": elapsed,
+        "fsync_points": N,
         "wal_bytes": _wal_bytes(root),
     }
 
@@ -121,8 +127,7 @@ def ingest_batched(root: Path, stream, *, durable: bool) -> dict:
         )
     elapsed = perf_counter() - start
     return {
-        "ingest_seconds": round(elapsed, 4),
-        "rows_per_second": round(N / elapsed),
+        "ingest_seconds": elapsed,
         "batches": batches,
         "rows_per_batch": BATCH,
         "fsync_points": batches if durable else 0,
@@ -131,39 +136,69 @@ def ingest_batched(root: Path, stream, *, durable: bool) -> dict:
 
 
 def time_recovery(root: Path) -> dict:
-    best = float("inf")
-    state = None
-    for _ in range(REPEATS):
-        manager = RecoveryManager(CheckpointStore(root))
-        start = perf_counter()
-        state = manager.recover(seed=9)
-        best = min(best, perf_counter() - start)
-    assert state is not None and state.sequence == N
+    manager = RecoveryManager(CheckpointStore(root))
+    start = perf_counter()
+    state = manager.recover(seed=9)
+    elapsed = perf_counter() - start
+    assert state.sequence == N
+    return {"recovery_seconds": elapsed, "replayed_rows": state.replayed}
+
+
+def _summary(seconds: list[float]) -> dict:
     return {
-        "recovery_seconds": round(best, 4),
-        "replayed_rows": state.replayed,
-        "replayed_rows_per_second": round(state.replayed / best),
+        "runs": [round(value, 4) for value in seconds],
+        "median": round(float(np.median(seconds)), 4),
+        "min": round(min(seconds), 4),
+        "max": round(max(seconds), 4),
     }
+
+
+def bench_path(stream, ingest, *, durable: bool) -> dict:
+    """``REPEATS`` fresh-store runs of one path, summarised."""
+    runs = []
+    for _ in range(REPEATS):
+        root = Path(tempfile.mkdtemp(prefix="bench-durable-"))
+        try:
+            run = ingest(root / "state", stream)
+            if durable:
+                run.update(time_recovery(root / "state"))
+            runs.append(run)
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
+    result = {
+        key: value
+        for key, value in runs[0].items()
+        if key not in ("ingest_seconds", "recovery_seconds")
+    }
+    result["ingest_seconds"] = _summary([run["ingest_seconds"] for run in runs])
+    result["rows_per_second"] = round(N / result["ingest_seconds"]["median"])
+    if durable:
+        result["recovery_seconds"] = _summary(
+            [run["recovery_seconds"] for run in runs]
+        )
+        result["replayed_rows_per_second"] = round(
+            result["replayed_rows"] / result["recovery_seconds"]["median"]
+        )
+    return result
+
+
+def _ratio(numerator: dict, denominator: dict, key: str) -> float:
+    return round(numerator[key]["median"] / denominator[key]["median"], 2)
 
 
 def main() -> dict:
     stream = zipf_stream(N, DOMAIN, SKEW, seed=1)
-    scratch = Path(tempfile.mkdtemp(prefix="bench-durable-"))
-    try:
-        per_row_root = scratch / "per-row"
-        batch_root = scratch / "batch"
-        durable_per_row = ingest_per_row(
-            per_row_root, stream, durable=True
-        )
-        durable_batch = ingest_batched(batch_root, stream, durable=True)
-        non_durable = ingest_batched(
-            scratch / "plain", stream, durable=False
-        )
-        durable_per_row.update(time_recovery(per_row_root))
-        durable_batch.update(time_recovery(batch_root))
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-
+    durable_per_row = bench_path(stream, ingest_per_row, durable=True)
+    durable_batch = bench_path(
+        stream,
+        lambda root, data: ingest_batched(root, data, durable=True),
+        durable=True,
+    )
+    non_durable = bench_path(
+        stream,
+        lambda root, data: ingest_batched(root, data, durable=False),
+        durable=False,
+    )
     results = {
         "config": {
             "rows": N,
@@ -174,30 +209,26 @@ def main() -> dict:
             "sync_every": 1,
             "repeats": REPEATS,
             "smoke": SMOKE,
+            "cpu_cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "commit": commit(),
         },
         "durable_per_row": durable_per_row,
         "durable_batch": durable_batch,
         "non_durable_batch": non_durable,
         "summary": {
-            "durable_batch_speedup": round(
-                durable_per_row["ingest_seconds"]
-                / durable_batch["ingest_seconds"],
-                2,
+            "durable_batch_speedup": _ratio(
+                durable_per_row, durable_batch, "ingest_seconds"
             ),
-            "durability_overhead_vs_non_durable": round(
-                durable_batch["ingest_seconds"]
-                / non_durable["ingest_seconds"],
-                2,
+            "durability_overhead_vs_non_durable": _ratio(
+                durable_batch, non_durable, "ingest_seconds"
             ),
             "wal_bytes_ratio": round(
-                durable_per_row["wal_bytes"]
-                / durable_batch["wal_bytes"],
-                2,
+                durable_per_row["wal_bytes"] / durable_batch["wal_bytes"], 2
             ),
-            "replay_speedup": round(
-                durable_per_row["recovery_seconds"]
-                / durable_batch["recovery_seconds"],
-                2,
+            "replay_speedup": _ratio(
+                durable_per_row, durable_batch, "recovery_seconds"
             ),
         },
     }

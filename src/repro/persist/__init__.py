@@ -4,8 +4,9 @@
 can be stored on disk."  This package is that combination for the
 synopsis warehouse:
 
-* :mod:`repro.persist.framing` -- CRC-framed JSON-lines records; every
-  crash signature (torn write vs corruption) is classifiable.
+* :mod:`repro.persist.framing` -- CRC-framed JSON records with an
+  optional binary section of column buffers; every crash signature
+  (torn write vs corruption) is classifiable.
 * :mod:`repro.persist.wal` -- append-only operation-log segments with
   fsync points, rotation, and truncation.
 * :mod:`repro.persist.checkpoint` -- atomic (write-temp, fsync,

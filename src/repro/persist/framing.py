@@ -1,8 +1,11 @@
-"""CRC-framed JSON-lines records: the WAL and checkpoint codec.
+"""CRC-framed records: the WAL, checkpoint and wire codec.
 
-Every durable record is one line::
+Every record is one frame::
 
-    <length:08x> <crc32:08x> <hcrc32:08x> <payload JSON>\\n
+    <length:08x> <crc32:08x> <hcrc32:08x> <payload>\\n
+
+where the payload is compact JSON, optionally followed by a binary
+section of raw NumPy column buffers (see *Binary sections* below).
 
 The fixed 27-byte ASCII header carries the payload length, the
 payload's CRC-32, and a CRC-32 of the two preceding fields, so the
@@ -32,6 +35,22 @@ the genuinely unfinished final record.
 The payload is compact JSON with sorted keys, so encoding is
 deterministic and the frame round-trips bit-exactly.
 
+**Binary sections.**  A one-dimensional NumPy array anywhere in the
+payload is framed as raw little-endian bytes instead of a JSON list:
+the payload becomes ``<JSON header>\\x00<buffers>`` and each array
+leaf becomes a descriptor ``{"$ndarray": [dtype, offset, count]}`` in
+the header (``offset`` in bytes into the buffers).  ``json.dumps``
+escapes every control character, so a NUL never occurs in the header
+and the split is unambiguous; the payload CRC covers the buffers, so
+torn-vs-corrupt triage is unchanged.  A payload without arrays frames
+byte-identically to one written before binary sections existed.  Only
+the dtypes in :data:`ARRAY_DTYPES` are written or read.  The decoder
+turns a descriptor into a read-only array view only when its dtype is
+allowed, its offset and count are non-negative integers and its bytes
+lie inside the binary section; any other object -- a bad descriptor
+included -- decodes as the plain JSON object it is, for the consumer
+(:func:`~repro.persist.columns.decode_columns`) to refuse.
+
 Two batch-oriented entry points amortise the per-frame overhead:
 :func:`encode_frames` encodes many payloads into one contiguous buffer
 (one allocation, one downstream ``write``), and :func:`iter_frames`
@@ -47,11 +66,16 @@ import io
 import json
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import IO, Any, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from repro.persist.errors import ChecksumMismatch
 
 __all__ = [
+    "ARRAY_DTYPES",
+    "ARRAY_MARKER",
     "FrameCursor",
     "HEADER_LENGTH",
     "TornTail",
@@ -79,11 +103,74 @@ class TornTail:
     reason: str
 
 
-def encode_frame(payload: Mapping[str, Any]) -> bytes:
-    """One record as a CRC-framed JSON line."""
-    body = json.dumps(
-        dict(payload), sort_keys=True, separators=(",", ":")
+#: The header key of an array descriptor.
+ARRAY_MARKER = "$ndarray"
+
+#: The dtypes a binary section carries: little-endian signed integers
+#: and doubles.  Never objects, booleans, strings or big-endian data.
+ARRAY_DTYPES = frozenset({"<i1", "<i2", "<i4", "<i8", "<f8"})
+
+
+def _encode_body(payload: Mapping[str, Any]) -> bytes:
+    """The JSON payload, with any array leaves in a binary section."""
+    arrays: list[np.ndarray] = []
+
+    def describe(value: Any) -> dict[str, list[Any]]:
+        if not isinstance(value, np.ndarray) or value.ndim != 1:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON "
+                "serializable"
+            )
+        dtype = value.dtype.newbyteorder("<")
+        name = "<" + dtype.str[1:]  # int8 reads "|i1" in NumPy
+        if name not in ARRAY_DTYPES:
+            raise TypeError(f"cannot frame an array of dtype {value.dtype}")
+        array = np.ascontiguousarray(value, dtype=dtype)
+        offset = sum(written.nbytes for written in arrays)
+        arrays.append(array)
+        return {ARRAY_MARKER: [name, offset, len(array)]}
+
+    header = json.dumps(
+        dict(payload), sort_keys=True, separators=(",", ":"), default=describe
     ).encode("utf-8")
+    if not arrays:
+        return header
+    return b"".join([header, b"\x00", *arrays])
+
+
+def _resolve_array(binary: memoryview, obj: dict[str, Any]) -> Any:
+    """The array a valid descriptor names; any other object unchanged."""
+    spec = obj.get(ARRAY_MARKER)
+    if type(spec) is not list or len(spec) != 3 or len(obj) != 1:
+        return obj
+    dtype, offset, count = spec
+    if (
+        type(dtype) is not str
+        or dtype not in ARRAY_DTYPES
+        or type(offset) is not int
+        or type(count) is not int
+        or offset < 0
+        or count < 0
+        or offset + count * int(dtype[2]) > len(binary)
+    ):
+        return obj
+    return np.frombuffer(binary, dtype=dtype, count=count, offset=offset)
+
+
+def _decode_body(body: bytes) -> Any:
+    """Inverse of :func:`_encode_body`."""
+    split = body.find(b"\x00")
+    if split < 0:
+        return json.loads(body.decode("utf-8"))
+    return json.loads(
+        body[:split].decode("utf-8"),
+        object_hook=partial(_resolve_array, memoryview(body)[split + 1 :]),
+    )
+
+
+def encode_frame(payload: Mapping[str, Any]) -> bytes:
+    """One record as a CRC-framed line."""
+    body = _encode_body(payload)
     fields = b"%08x %08x " % (len(body), zlib.crc32(body))
     header = fields + b"%08x " % zlib.crc32(fields)
     return header + body + b"\n"
@@ -93,17 +180,14 @@ def encode_frames(payloads: Iterable[Mapping[str, Any]]) -> bytes:
     """Many records as one contiguous buffer of CRC-framed lines.
 
     Byte-for-byte identical to concatenating :func:`encode_frame`
-    outputs, but the JSON/CRC/format machinery is amortised across the
+    outputs, but the CRC/format machinery is amortised across the
     batch and the result is a single buffer, so a caller can hand the
     whole group to one ``write`` (the group-commit fast path).
     """
-    dumps = json.dumps
     crc32 = zlib.crc32
     parts: list[bytes] = []
     for payload in payloads:
-        body = dumps(
-            dict(payload), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        body = _encode_body(payload)
         fields = b"%08x %08x " % (len(body), crc32(body))
         parts.append(fields)
         parts.append(b"%08x " % crc32(fields))
@@ -219,7 +303,7 @@ class FrameCursor:
             )
         del buffer[: terminator + 1]
         self._offset = offset + terminator + 1
-        return json.loads(body.decode("utf-8"))
+        return _decode_body(body)
 
 
 def iter_frames(

@@ -1,4 +1,4 @@
-"""Write-ahead log: CRC-framed JSON-lines segments with fsync points.
+"""Write-ahead log: CRC-framed segments with fsync points.
 
 The WAL is a directory of segment files ``wal-<base>.seg``, where
 ``base`` is the sequence number of the first operation the segment may
@@ -6,11 +6,17 @@ hold.  Each segment starts with a header record and then carries one
 ``op`` record per warehouse load event, or one columnar ``batch``
 record per whole load batch::
 
-    {"kind": "wal-header", "format_version": 1, "base": 1200}
+    {"kind": "wal-header", "format_version": 2, "base": 1200}
     {"kind": "op", "sequence": 1200, "relation": "sales", "row": [7], "insert": true}
     {"kind": "batch", "first_sequence": 1201, "last_sequence": 1400,
-     "relation": "sales", "columns": {"item": {"kind": "int", "values": [...]}}}
+     "relation": "sales", "columns": {"item": <int16 array>}}
     ...
+
+A batch record's integer and float columns travel as raw little-endian
+buffers in the frame's binary section (:mod:`repro.persist.columns`).
+Format 1 wrote them as tagged JSON lists; this build reads both, and
+a build that only knows format 1 refuses a format-2 segment at its
+header record.
 
 Records are framed by :mod:`repro.persist.framing`, so every crash
 signature is classifiable.  Appends reach disk at *fsync points*: every
@@ -71,7 +77,8 @@ __all__ = [
     "segment_name",
 ]
 
-WAL_FORMAT_VERSION = 1
+#: 2: batch records carry binary columns; format-1 tagged lists still read.
+WAL_FORMAT_VERSION = 2
 
 _PREFIX = "wal-"
 _SUFFIX = ".seg"

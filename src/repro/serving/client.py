@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any
+from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.engine.queries import Query
 from repro.engine.responses import QueryResponse
+from repro.persist.columns import encode_columns
 from repro.serving import codec
 from repro.serving.protocol import (
     NO_SYNOPSIS,
@@ -221,15 +224,12 @@ class AQPClient:
         return await self.request("query", self._session_params(extra))
 
     async def ingest(
-        self, relation: str, columns: dict[str, list[int]]
+        self, relation: str, columns: Mapping[str, Sequence[int] | np.ndarray]
     ) -> int:
-        """Load one batch; returns rows acked by the server."""
-        tagged = {
-            attribute: {"kind": "int", "values": values}
-            for attribute, values in columns.items()
-        }
+        """Load one batch of integer lists or arrays; returns rows acked
+        by the server."""
         result = await self.request(
-            "ingest", {"relation": relation, "columns": tagged}
+            "ingest", {"relation": relation, "columns": encode_columns(columns)}
         )
         return int(result["rows"])
 

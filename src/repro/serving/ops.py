@@ -14,10 +14,11 @@ fronts run their ops through it:
 
 So there is one set of parameter checks, one exception -> error-code
 map (:func:`describe_error`) and one decoder of ingest columns
-(:func:`decode_ingest_columns`).  Ingest columns use the tagged format
-of :mod:`repro.persist.columns`, the batch WAL record's format:
-``{attribute: {"kind": "int", "values": [...]}}``; only integer
-columns are accepted.
+(:func:`decode_ingest_columns`).  Ingest columns use the format of
+:mod:`repro.persist.columns`, the batch WAL record's format: binary
+integer columns (``{attribute: <int8..int64 array>}``, carried in the
+frame's binary section), or tagged lists ``{attribute: {"kind": "int",
+"values": [...]}}``.  Only integer columns are accepted.
 """
 
 from __future__ import annotations
@@ -114,10 +115,17 @@ def decode_ingest_columns(payload: Any) -> dict[str, np.ndarray]:
             BAD_REQUEST, "'columns' must be a non-empty object"
         )
     for attribute, column in payload.items():
-        if not isinstance(column, dict) or column.get("kind") != "int":
+        if isinstance(column, np.ndarray):
+            # As with lists, an empty column passes: a list of no
+            # values encodes as an empty float array.
+            integral = column.dtype.kind == "i" or not len(column)
+        else:
+            integral = isinstance(column, dict) and column.get("kind") == "int"
+        if not integral:
             raise ProtocolError(
                 BAD_REQUEST,
-                f"column {attribute!r} must be a tagged integer column",
+                f"column {attribute!r} must be a binary or tagged integer "
+                "column",
             )
     try:
         return decode_columns(payload)

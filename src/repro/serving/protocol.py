@@ -2,7 +2,9 @@
 
 Every message in either direction is one frame in the
 :mod:`repro.persist.framing` codec -- ``<length:08x> <crc32:08x>
-<hcrc32:08x> <payload JSON>\\n`` -- so the wire inherits the WAL's
+<hcrc32:08x> <payload>\\n``, the payload being JSON optionally
+followed by a binary section of raw column buffers (an ingest
+request's columns travel there) -- so the wire inherits the WAL's
 torn-vs-corrupt triage: an incomplete frame is simply *not yet
 arrived* (the decoder waits for more bytes), while a complete frame
 that fails its checksum, a malformed header, or a wrong terminator is

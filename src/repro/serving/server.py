@@ -307,35 +307,33 @@ class AQPServer:
             return False
         started = self._clock()
         heavy = op in _HEAVY_OPS
+        tracer = self.engine.tracer
+        refusal: tuple[str, str, str] | None = None
         if self._draining and op != "bye":
-            self._metrics.requests_total(op, "error").inc()
-            await self._send(
-                writer,
-                encode_error(
-                    request_id,
-                    SHUTTING_DOWN,
-                    "server is draining; no new requests",
-                ),
+            refusal = (
+                "error", SHUTTING_DOWN, "server is draining; no new requests"
             )
-            return False
-
-        if heavy and self._waiting >= self.max_queue:
+        elif heavy and self._waiting >= self.max_queue:
             self._metrics.busy_total.inc()
-            self._metrics.requests_total(op, "busy").inc()
-            await self._send(
-                writer,
-                encode_error(
-                    request_id,
-                    SERVER_BUSY,
-                    f"admission queue full "
-                    f"({self._waiting} waiting); retry later",
-                ),
+            refusal = (
+                "busy",
+                SERVER_BUSY,
+                f"admission queue full ({self._waiting} waiting); retry later",
             )
+        if refusal is not None:
+            outcome, code, message = refusal
+            self._metrics.requests_total(op, outcome).inc()
+            if op == "query" and tracer is not None:
+                # A refused query is a failed query root, like one
+                # that fails to decode.
+                refused = tracer.start_trace()
+                refused.record_query(None, error=ProtocolError(code, message))
+                refused.finish(code, error=code)
+            await self._send(writer, encode_error(request_id, code, message))
             return False
 
         # One trace per query request: the server opens the root and
         # hands it to the engine, which adds its phases.
-        tracer = self.engine.tracer
         trace = (
             tracer.start_trace()
             if op == "query" and tracer is not None

@@ -466,3 +466,65 @@ class TestServedQueryIsOneTrace:
             "repro_query_errors_total",
             {"query": "CountQuery", "error": "ZeroDivisionError"},
         ) == 1.0
+
+
+class TestRefusedQueryIsOneFailedTrace:
+    """A query refused before admission still closes one failed root,
+    so query telemetry counts it beside the request counters."""
+
+    COUNT = CountQuery("sales", "item", Predicate(high=10))
+
+    def refuse(self, code):
+        import asyncio
+
+        from repro.serving import AQPClient, AQPServer, ServerError
+
+        registry = MetricsRegistry()
+        tracer = obs.Tracer(registry, clock=FakeClock())
+        engine = _engine(tracer)
+        # max_queue=0 turns every heavy request away as busy.
+        busy = code == "server-busy"
+        server = AQPServer(
+            engine.warehouse,
+            engine,
+            registry=registry,
+            max_queue=0 if busy else 16,
+        )
+
+        async def scenario():
+            client = await AQPClient.connect(*await server.start())
+            try:
+                await client.hello()
+                if not busy:
+                    # The first thing shutdown() does: refuse new work
+                    # on connections that are still open.
+                    server._draining = True
+                with pytest.raises(ServerError) as caught:
+                    await client.query(self.COUNT, mode="live")
+                assert caught.value.code == code
+                with pytest.raises(ServerError):
+                    await client.ingest("sales", {"item": [1, 2]})
+            finally:
+                await client.close()
+                await server.shutdown()
+
+        asyncio.run(asyncio.wait_for(scenario(), 30))
+        return tracer, registry
+
+    @pytest.mark.parametrize("code", ["server-busy", "shutting-down"])
+    def test_refused_query_finishes_one_failed_root(self, code):
+        tracer, registry = self.refuse(code)
+        (span,) = tracer.spans()  # the refused ingest opens no root
+        assert span.name == "query"
+        assert span.status == code
+        assert span.fields["query"] == "?"
+        assert span.fields["error"] == code
+        assert span.fields["method"] == "error"
+        assert span.children == ()
+        assert registry.value(
+            "repro_query_errors_total", {"query": "?", "error": code}
+        ) == 1.0
+        outcome = "busy" if code == "server-busy" else "error"
+        assert registry.value(
+            "repro_server_requests_total", {"op": "query", "outcome": outcome}
+        ) == 1.0

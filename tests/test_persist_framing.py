@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.persist.columns import decode_columns, encode_columns
 from repro.persist.errors import ChecksumMismatch
 from repro.persist.framing import (
+    ARRAY_DTYPES,
+    ARRAY_MARKER,
     HEADER_LENGTH,
     TornTail,
     decode_frames,
@@ -275,3 +279,270 @@ class TestStreamingDecode:
         stream_frames, stream_torn = self._stream(data, 16)
         assert frames == stream_frames
         assert torn == stream_torn
+
+
+def plain(value):
+    """A decoded payload with its arrays as lists, for ``==``."""
+    if isinstance(value, np.ndarray):
+        return {"array": value.dtype.str, "values": value.tolist()}
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    return value
+
+
+#: Array-free frames as the codec wrote them before binary sections
+#: existed; they must still encode to exactly these bytes.
+GOLDEN = [
+    (
+        {"kind": "wal-header", "format_version": 1, "base": 0},
+        b'00000031 cef3f6ec 16ef9526 {"base":0,"format_version":1,'
+        b'"kind":"wal-header"}\n',
+    ),
+    (
+        {
+            "id": 7,
+            "op": "query",
+            "params": {
+                "query": {"type": "count", "relation": "sales", "attribute": "item"},
+                "session": "s1",
+            },
+        },
+        b'0000006e 97c4f6d8 a1e48274 {"id":7,"op":"query","params":{"query":'
+        b'{"attribute":"item","relation":"sales","type":"count"},'
+        b'"session":"s1"}}\n',
+    ),
+    (
+        {
+            "kind": "batch",
+            "first_sequence": 1,
+            "last_sequence": 2,
+            "relation": "sales",
+            "columns": {"item": {"kind": "int", "values": [3, -4]}},
+        },
+        b'0000007a e6f022cc 050c0e92 {"columns":{"item":{"kind":"int",'
+        b'"values":[3,-4]}},"first_sequence":1,"kind":"batch",'
+        b'"last_sequence":2,"relation":"sales"}\n',
+    ),
+    (
+        {"text": "caf\u00e9 \u0000 \n", "nested": [1.5, None, True, []]},
+        b'0000003a 1ac5fe5d c89bfb89 {"nested":[1.5,null,true,[]],'
+        b'"text":"caf\\u00e9 \\u0000 \\n"}\n',
+    ),
+]
+
+
+class TestArrayFreeFramesAreUnchanged:
+    @pytest.mark.parametrize("payload, frame", GOLDEN)
+    def test_golden_bytes(self, payload, frame):
+        assert encode_frame(payload) == frame
+        assert encode_frames([payload, payload]) == frame + frame
+        assert decode_frames(frame, source="golden") == ([payload], None)
+
+
+def _bounds(dtype: str) -> list:
+    if dtype == "<f8":
+        return [float(np.finfo(dtype).min), float(np.finfo(dtype).max)]
+    return [int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)]
+
+
+def _values(dtype: str):
+    if dtype == "<f8":
+        return st.floats(allow_nan=False, allow_infinity=False)
+    low, high = _bounds(dtype)
+    return st.integers(min_value=low, max_value=high)
+
+
+@st.composite
+def typed_columns(draw):
+    """Equal-length columns, one allowed dtype each."""
+    length = draw(st.integers(min_value=0, max_value=6))
+    dtypes = draw(
+        st.lists(st.sampled_from(sorted(ARRAY_DTYPES)), min_size=1, max_size=4)
+    )
+    return {
+        f"c{index}": (
+            dtype,
+            draw(st.lists(_values(dtype), min_size=length, max_size=length)),
+        )
+        for index, dtype in enumerate(dtypes)
+    }
+
+
+class TestBinarySections:
+    """Arrays travel as raw buffers and read back as owned wide arrays."""
+
+    @staticmethod
+    def _decoded(frame: bytes, chunk_size: int) -> list:
+        whole, torn = decode_frames(frame, source="test")
+        assert torn is None
+        cursor = iter_frames(io.BytesIO(frame), source="test", chunk_size=chunk_size)
+        streamed = list(cursor)
+        assert cursor.torn is None
+        assert plain(streamed) == plain(whole)
+        return whole
+
+    @settings(max_examples=200)
+    @given(columns=typed_columns(), chunk_size=st.integers(1, 64))
+    def test_every_allowed_dtype_round_trips(self, columns, chunk_size):
+        payload = {
+            "kind": "batch",
+            "columns": {
+                name: np.array(values, dtype=dtype)
+                for name, (dtype, values) in columns.items()
+            },
+        }
+        (frame,) = self._decoded(encode_frame(payload), chunk_size)
+        decoded = decode_columns(frame["columns"])
+        for name, (dtype, values) in columns.items():
+            wide = np.float64 if dtype == "<f8" else np.int64
+            assert decoded[name].dtype == wide
+            assert decoded[name].flags.writeable and decoded[name].flags.owndata
+            assert decoded[name].tolist() == np.array(values, dtype=wide).tolist()
+
+    @pytest.mark.parametrize("dtype", sorted(ARRAY_DTYPES))
+    def test_empty_and_extreme_values_round_trip(self, dtype):
+        low, high = _bounds(dtype)
+        payload = {
+            "empty": np.array([], dtype=dtype),
+            "extremes": np.array([low, high, low], dtype=dtype),
+        }
+        (frame,) = self._decoded(encode_frame(payload), 7)
+        decoded = decode_columns({"extremes": frame["extremes"]})
+        assert decoded["extremes"].tolist() == [low, high, low]
+        assert decode_columns({"empty": frame["empty"]})["empty"].tolist() == []
+
+    @given(
+        values=st.lists(
+            st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=8
+        )
+    )
+    def test_integer_columns_narrow_and_round_trip(self, values):
+        encoded = encode_columns({"item": np.array(values, dtype=np.int64)})
+        width = encoded["item"].dtype.itemsize
+        (frame,) = self._decoded(encode_frame({"columns": encoded}), 64)
+        assert decode_columns(frame["columns"])["item"].tolist() == values
+        if values:
+            assert -(2 ** (8 * width - 1)) <= min(values)
+            assert max(values) < 2 ** (8 * width - 1)
+            if width > 1:  # the next narrower width would not hold them
+                narrower = 2 ** (4 * width - 1)
+                assert min(values) < -narrower or max(values) >= narrower
+
+    def test_values_beyond_int64_are_refused(self):
+        with pytest.raises(ValueError, match="beyond int64"):
+            encode_columns({"item": np.array([2**63], dtype=np.uint64)})
+
+    def test_column_named_like_the_marker_round_trips(self):
+        columns = {
+            ARRAY_MARKER: np.array([5, -300, 7]),
+            "other": np.array([1.5, 2.5, 3.5]),
+            "mixed": np.array(["a", 1, None], dtype=object),
+        }
+        frame = encode_frame({"columns": encode_columns(columns)})
+        (payload,), _ = decode_frames(frame, source="test")
+        decoded = decode_columns(payload["columns"])
+        assert sorted(decoded) == sorted(columns)
+        assert decoded[ARRAY_MARKER].tolist() == [5, -300, 7]
+        assert decoded["other"].tolist() == [1.5, 2.5, 3.5]
+        assert decoded["mixed"].tolist() == ["a", 1, None]
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([True]),
+            np.array(["abcd"]),
+            np.array([1], dtype=object),
+            np.array([1], dtype=np.uint64),
+            np.array([1.0], dtype=np.float32),
+            np.zeros((2, 2), dtype=np.int64),
+        ],
+        ids=["bool", "str", "object", "uint64", "float32", "2-d"],
+    )
+    def test_the_writer_frames_only_allowed_dtypes(self, array):
+        with pytest.raises(TypeError):
+            encode_frame({"column": array})
+
+    def test_big_endian_input_is_written_little_endian(self):
+        frame = encode_frame({"c": np.array([1, -2], dtype=">i4")})
+        assert b'["<i4",0,2]' in frame
+        (payload,), _ = decode_frames(frame, source="test")
+        assert payload["c"].tolist() == [1, -2]
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            ["|O", 0, 1],
+            ["|b1", 0, 1],
+            ["<U4", 0, 1],
+            [">i4", 0, 1],
+            ["<u8", 0, 1],
+            ["<i8", 0, 2],
+            ["<i8", 8, 1],
+            ["<i8", -8, 1],
+            ["<i8", 0, -1],
+            ["<i8", 0.0, 1],
+            ["<i8", True, 1],
+            ["<i8", 0],
+        ],
+    )
+    def test_a_bad_descriptor_decodes_as_itself_and_is_refused(self, descriptor):
+        frame = encode_frame(
+            {"columns": {"item": {ARRAY_MARKER: descriptor}}, "pad": np.zeros(1, np.int64)}
+        )
+        (payload,), _ = decode_frames(frame, source="test")
+        assert payload["columns"]["item"] == {ARRAY_MARKER: descriptor}
+        with pytest.raises(ValueError, match="invalid binary descriptor"):
+            decode_columns(payload["columns"])
+
+    def test_a_descriptor_without_a_binary_section_is_refused(self):
+        frame = encode_frame({"columns": {"item": {ARRAY_MARKER: ["<i8", 0, 0]}}})
+        (payload,), _ = decode_frames(frame, source="test")
+        assert payload["columns"]["item"] == {ARRAY_MARKER: ["<i8", 0, 0]}
+        with pytest.raises(ValueError):
+            decode_columns(payload["columns"])
+
+
+BINARY_RECORDS = [
+    {"kind": "op", "sequence": 1, "row": [4, 2]},
+    {
+        "kind": "batch",
+        "first_sequence": 2,
+        "last_sequence": 4,
+        "columns": encode_columns(
+            {"item": np.array([1, -70_000, 3]), "price": np.array([0.5, 1.5, 2.5])}
+        ),
+    },
+    {"kind": "op", "sequence": 5, "row": [0, 0]},
+]
+
+
+class TestBinarySectionDamage:
+    """A frame with a binary section keeps the torn-vs-corrupt triage."""
+
+    def test_every_cut_point_is_torn_or_clean(self):
+        frames = [encode_frame(record) for record in BINARY_RECORDS]
+        data = b"".join(frames)
+        boundaries = {0}
+        offset = 0
+        for frame in frames:
+            offset += len(frame)
+            boundaries.add(offset)
+        for cut in range(len(data) + 1):
+            decoded, torn = decode_frames(data[:cut], source="test")
+            assert plain(decoded) == plain(BINARY_RECORDS[: len(decoded)])
+            if cut in boundaries:
+                assert torn is None, f"cut at boundary {cut}"
+            else:
+                assert isinstance(torn, TornTail), f"cut at {cut}"
+
+    def test_every_single_bit_flip_raises(self):
+        data = encode_frames(BINARY_RECORDS)
+        assert b"\x00" in data
+        for position in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[position] ^= 1 << bit
+                with pytest.raises(ChecksumMismatch):
+                    decode_frames(bytes(flipped), source="seg")

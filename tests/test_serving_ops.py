@@ -22,6 +22,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
+import numpy as np
 import pytest
 
 from repro.core.concise import ConciseSample
@@ -29,6 +30,7 @@ from repro.cluster.worker import HELLO_ID, MAX_FRAME_BYTES, ShardConfig, worker_
 from repro.engine import ApproximateAnswerEngine, DataWarehouse
 from repro.engine.queries import CountQuery, HotListQuery
 from repro.persist import CheckpointStore, RecoveryManager
+from repro.persist.framing import ARRAY_MARKER
 from repro.serving import AQPClient, AQPServer, ServerError, codec
 from repro.serving.protocol import FrameDecoder, encode_request, parse_reply
 
@@ -136,6 +138,80 @@ MALFORMED = [
         "bad-request",
     ),
     ("unknown op", "frobnicate", {}, "bad-request"),
+    (
+        "binary float column",
+        "ingest",
+        {"relation": RELATION, "columns": {ATTRIBUTE: np.array([1.5, 2.5])}},
+        "bad-request",
+    ),
+    *[
+        (
+            f"binary {dtype} descriptor",
+            "ingest",
+            {
+                "relation": RELATION,
+                "columns": {ATTRIBUTE: {ARRAY_MARKER: [dtype, 0, 1]}},
+                "pad": np.zeros(2, dtype=np.int64),
+            },
+            "bad-request",
+        )
+        for dtype in ("|b1", "<U4", ">i4", "|O")
+    ],
+    (
+        "binary descriptor past the end",
+        "ingest",
+        {
+            "relation": RELATION,
+            "columns": {ATTRIBUTE: {ARRAY_MARKER: ["<i8", 8, 2]}},
+            "pad": np.zeros(2, dtype=np.int64),
+        },
+        "bad-request",
+    ),
+    (
+        "binary descriptor with a negative offset",
+        "ingest",
+        {
+            "relation": RELATION,
+            "columns": {ATTRIBUTE: {ARRAY_MARKER: ["<i8", -8, 1]}},
+            "pad": np.zeros(2, dtype=np.int64),
+        },
+        "bad-request",
+    ),
+    (
+        "binary descriptor with a negative count",
+        "ingest",
+        {
+            "relation": RELATION,
+            "columns": {ATTRIBUTE: {ARRAY_MARKER: ["<i8", 0, -1]}},
+            "pad": np.zeros(2, dtype=np.int64),
+        },
+        "bad-request",
+    ),
+    (
+        "binary descriptor without a binary section",
+        "ingest",
+        {"relation": RELATION, "columns": {ATTRIBUTE: {ARRAY_MARKER: ["<i8", 0, 0]}}},
+        "bad-request",
+    ),
+    (
+        "binary uint64 above the int64 maximum",
+        "ingest",
+        {
+            "relation": RELATION,
+            "columns": {ATTRIBUTE: {ARRAY_MARKER: ["<u8", 0, 1]}},
+            "pad": np.array([-1], dtype=np.int64),
+        },
+        "bad-request",
+    ),
+    (
+        "ragged binary columns",
+        "ingest",
+        {
+            "relation": RELATION,
+            "columns": {ATTRIBUTE: np.array([1, 2]), "other": np.array([1])},
+        },
+        "bad-request",
+    ),
 ]
 
 

@@ -14,6 +14,7 @@ import asyncio
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.engine.queries import (
@@ -30,6 +31,7 @@ from repro.engine.responses import QueryResponse
 from repro.estimators.intervals import ConfidenceInterval
 from repro.estimators.selectivity import Predicate
 from repro.hotlist.base import HotListAnswer, HotListEntry
+from repro.persist.columns import decode_columns, encode_columns
 from repro.persist.framing import HEADER_LENGTH, encode_frame
 from repro.serving import codec
 from repro.serving.protocol import (
@@ -372,3 +374,92 @@ class TestServerWireTriage:
         (reply,) = run_scenario(scenario())
         assert reply["ok"] is False
         assert reply["error"]["code"] == BAD_FRAME
+
+
+#: An ingest request whose columns ride in a binary section, between
+#: two array-free frames.
+INGEST_PAYLOAD = {
+    "id": 4,
+    "op": "ingest",
+    "params": {
+        "relation": "sales",
+        "columns": encode_columns(
+            {"item": np.array([3, -9, 70_000]), "store": np.array([1, 2, 1])}
+        ),
+    },
+}
+BINARY_PAYLOADS = [PAYLOADS[0], INGEST_PAYLOAD, PAYLOADS[2]]
+BINARY_WIRE = b"".join(encode_frame(payload) for payload in BINARY_PAYLOADS)
+
+
+def plain(payloads):
+    """Payloads with their arrays as ``(dtype, values)`` for ``==``."""
+    return json.loads(
+        json.dumps(
+            payloads,
+            default=lambda array: [array.dtype.str, array.tolist()],
+        )
+    )
+
+
+class TestBinarySectionOnTheWire:
+    def test_every_cut_point_reads_as_not_yet_arrived(self):
+        assert b"\x00" in BINARY_WIRE
+        expected = plain(BINARY_PAYLOADS)
+        for cut in range(len(BINARY_WIRE) + 1):
+            decoder = FrameDecoder()
+            first = decoder.feed(BINARY_WIRE[:cut])
+            assert plain(first) == expected[: len(first)], f"cut at {cut}"
+            rest = decoder.feed(BINARY_WIRE[cut:])
+            assert plain(first + rest) == expected, f"cut at {cut}"
+            assert decoder.pending_bytes == 0
+
+    def test_every_single_bit_flip_is_rejected(self):
+        for byte_index in range(len(BINARY_WIRE)):
+            for bit in range(8):
+                flipped = bytearray(BINARY_WIRE)
+                flipped[byte_index] ^= 1 << bit
+                with pytest.raises(ProtocolError) as caught:
+                    FrameDecoder().feed(bytes(flipped))
+                assert caught.value.code == BAD_FRAME, (
+                    f"flip at byte {byte_index} bit {bit} "
+                    f"escaped with {caught.value.code}"
+                )
+
+    def test_columns_decode_to_the_sent_values(self):
+        (payload,) = FrameDecoder().feed(encode_frame(INGEST_PAYLOAD))
+        columns = decode_columns(payload["params"]["columns"])
+        assert columns["item"].tolist() == [3, -9, 70_000]
+        assert columns["store"].tolist() == [1, 2, 1]
+
+    def test_client_ingests_lists_and_arrays(self):
+        """``AQPClient.ingest`` takes lists or arrays (an empty list
+        included) and the server stores exactly the sent rows."""
+        from repro.engine import ApproximateAnswerEngine, DataWarehouse
+        from repro.serving import AQPClient, AQPServer
+
+        warehouse = DataWarehouse()
+        warehouse.create_relation("sales", ["item", "store"])
+        server = AQPServer(warehouse, ApproximateAnswerEngine(warehouse))
+
+        async def scenario():
+            client = await AQPClient.connect(*await server.start())
+            try:
+                acks = [
+                    await client.ingest("sales", {"item": [], "store": []}),
+                    await client.ingest(
+                        "sales", {"item": [5, -2**40], "store": [1, 2]}
+                    ),
+                    await client.ingest(
+                        "sales",
+                        {"item": np.array([7], np.uint8), "store": np.array([3])},
+                    ),
+                ]
+            finally:
+                await client.close()
+                await server.shutdown()
+            return acks
+
+        assert run_scenario(scenario()) == [0, 2, 1]
+        rows = sorted(warehouse.relation("sales").rows())
+        assert rows == [(-2**40, 2), (5, 1), (7, 3)]
